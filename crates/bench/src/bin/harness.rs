@@ -890,7 +890,7 @@ fn b_compact() {
                 (engine, doc)
             };
             // Incremental: apply_edits maintains both cached extensions.
-            let (engine, doc) = build();
+            let (mut engine, doc) = build();
             let t0 = Instant::now();
             let report = engine
                 .apply_edits(doc, std::slice::from_ref(&edit))
@@ -906,7 +906,7 @@ fn b_compact() {
             // Full: the pre-update-path alternative — replace the
             // document (evicting the cache) and rematerialize the same
             // extension set before answering.
-            let (engine2, doc2) = build();
+            let (mut engine2, doc2) = build();
             let mut edited = pdoc.clone();
             edited.apply_edit(&edit).unwrap();
             let t1 = Instant::now();

@@ -43,6 +43,8 @@
 //! under interior mutability ([`RwLock`] shards keyed by a hash of the
 //! `(document, view)` pair) and lifetime counters are atomics, so any
 //! number of threads may answer queries against one engine concurrently.
+//! Documents only change under `&mut self`; a served engine is updated
+//! by publishing edited clones through an [`EpochEngine`].
 //! [`Engine::answer_batch`] runs a slice of queries on a small
 //! hand-rolled worker pool (scoped `std::thread`s pulling indices off an
 //! atomic cursor). Materialization is *single-flight*: when two threads
@@ -378,54 +380,84 @@ impl Answer {
     }
 }
 
-/// Lifetime counters for an [`Engine`] (monotone; never reset — per-document
-/// cache counters that *are* reset by invalidation live in [`DocStats`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
+/// Declares the engine's lifetime counters once: each field becomes a
+/// `u64` of the public [`EngineStats`] and an `AtomicU64` of the private
+/// [`Counters`] set that backs it.
+macro_rules! engine_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Lifetime counters for an [`Engine`] (monotone; never reset —
+        /// per-document cache counters that *are* reset by invalidation
+        /// live in [`DocStats`]). Clones of an engine, and so every epoch
+        /// an [`EpochEngine`] publishes, count into one shared set; an
+        /// engine restored from a snapshot starts from zero.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct EngineStats {
+            $($(#[$doc])* pub $field: u64,)*
+            /// Current bytes held by the extension cache (a gauge, not a
+            /// monotone counter: sampled from the catalog at snapshot time).
+            pub cache_bytes: u64,
+        }
+
+        /// The atomics behind [`EngineStats`], shared through an `Arc` by
+        /// an engine's catalog and every clone of it.
+        #[derive(Debug, Default)]
+        struct Counters {
+            $($field: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn snapshot(&self, cache_bytes: u64) -> EngineStats {
+                EngineStats {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                    cache_bytes,
+                }
+            }
+        }
+    };
+}
+
+engine_counters! {
     /// Queries answered (including direct fallbacks).
-    pub queries: u64,
+    queries,
     /// Queries answered through a single-view TP plan.
-    pub plans_tp: u64,
+    plans_tp,
     /// Queries answered through a TP∩ plan.
-    pub plans_tpi: u64,
+    plans_tpi,
     /// Queries answered by direct evaluation.
-    pub direct: u64,
+    direct,
     /// Extensions materialized since the engine was created.
-    pub materializations: u64,
+    materializations,
     /// Extension reads served from cache.
-    pub cache_hits: u64,
+    cache_hits,
     /// Cache invalidations ([`Engine::invalidate`] /
     /// [`Engine::replace_document`]) that evicted at least one extension.
-    pub invalidations: u64,
+    invalidations,
     /// Plans (or typed plan failures) served from the plan cache.
-    pub plan_cache_hits: u64,
+    plan_cache_hits,
     /// Queries whose plan had to be computed (first sighting of a
     /// canonical query under the current catalog epoch and options).
-    pub plan_cache_misses: u64,
+    plan_cache_misses,
     /// Document edits applied through [`Engine::apply_edits`].
-    pub edits_applied: u64,
+    edits_applied,
     /// Per-(edit, cached extension) maintenance steps serviced by the
     /// incremental delta path (stored probabilities reused where the
     /// edit's scope test allowed).
-    pub deltas_applied: u64,
+    deltas_applied,
     /// Maintenance steps that fell back to full rematerialization (the
     /// edit touched a region the view could not localize).
-    pub delta_fallbacks: u64,
-    /// Current bytes held by the extension cache (a gauge, not a
-    /// monotone counter: sampled from the catalog at snapshot time).
-    pub cache_bytes: u64,
+    delta_fallbacks,
     /// Extensions evicted by byte-budget enforcement (invalidations and
     /// update-path replacements are counted separately).
-    pub evictions: u64,
+    evictions,
     /// Freshly materialized extensions the budget refused to admit (the
     /// querying thread still got its answer from the private handle; the
     /// extension just never entered the shared cache).
-    pub admission_rejects: u64,
+    admission_rejects,
     /// Lazily restored snapshot sections decoded on first probe (each
     /// counts once; subsequent probes of the section are cache hits).
-    pub sections_faulted: u64,
+    sections_faulted,
     /// Total nanoseconds spent decoding lazily faulted sections.
-    pub lazy_decode_ns: u64,
+    lazy_decode_ns,
 }
 
 /// Per-document cache counters. Unlike [`EngineStats`] these describe the
@@ -439,67 +471,6 @@ pub struct DocStats {
     pub materializations: u64,
     /// Cache hits served for this document since its last invalidation.
     pub cache_hits: u64,
-}
-
-/// Interior-mutability counterparts of the public stats structs, so every
-/// query path can take `&self`.
-#[derive(Debug, Default)]
-struct AtomicEngineStats {
-    queries: AtomicU64,
-    plans_tp: AtomicU64,
-    plans_tpi: AtomicU64,
-    direct: AtomicU64,
-    materializations: AtomicU64,
-    cache_hits: AtomicU64,
-    invalidations: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    edits_applied: AtomicU64,
-    deltas_applied: AtomicU64,
-    delta_fallbacks: AtomicU64,
-}
-
-impl AtomicEngineStats {
-    fn snapshot(&self) -> EngineStats {
-        EngineStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            plans_tp: self.plans_tp.load(Ordering::Relaxed),
-            plans_tpi: self.plans_tpi.load(Ordering::Relaxed),
-            direct: self.direct.load(Ordering::Relaxed),
-            materializations: self.materializations.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            edits_applied: self.edits_applied.load(Ordering::Relaxed),
-            deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
-            delta_fallbacks: self.delta_fallbacks.load(Ordering::Relaxed),
-            // Budget and lazy-restore counters live in the catalog;
-            // Engine::stats() fills them in after taking this snapshot.
-            cache_bytes: 0,
-            evictions: 0,
-            admission_rejects: 0,
-            sections_faulted: 0,
-            lazy_decode_ns: 0,
-        }
-    }
-
-    fn restore(snapshot: EngineStats) -> AtomicEngineStats {
-        AtomicEngineStats {
-            queries: AtomicU64::new(snapshot.queries),
-            plans_tp: AtomicU64::new(snapshot.plans_tp),
-            plans_tpi: AtomicU64::new(snapshot.plans_tpi),
-            direct: AtomicU64::new(snapshot.direct),
-            materializations: AtomicU64::new(snapshot.materializations),
-            cache_hits: AtomicU64::new(snapshot.cache_hits),
-            invalidations: AtomicU64::new(snapshot.invalidations),
-            plan_cache_hits: AtomicU64::new(snapshot.plan_cache_hits),
-            plan_cache_misses: AtomicU64::new(snapshot.plan_cache_misses),
-            edits_applied: AtomicU64::new(snapshot.edits_applied),
-            deltas_applied: AtomicU64::new(snapshot.deltas_applied),
-            delta_fallbacks: AtomicU64::new(snapshot.delta_fallbacks),
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -646,17 +617,11 @@ pub struct Catalog {
     budget: AtomicU64,
     /// Bytes currently charged by completed, admitted slots.
     bytes: AtomicU64,
-    /// Budget-driven evictions (lifetime).
-    evictions: AtomicU64,
-    /// Admissions refused at materialization time (lifetime).
-    admission_rejects: AtomicU64,
     /// Most recent eviction/rejection records, newest last (bounded ring:
     /// overflow drops the oldest record and is counted).
     eviction_log: Mutex<Ring<EvictionRecord>>,
-    /// Pending snapshot sections decoded on first probe (lifetime).
-    sections_faulted: AtomicU64,
-    /// Nanoseconds spent decoding faulted sections (lifetime).
-    lazy_decode_nanos: AtomicU64,
+    /// The owning engine's lifetime counters (shared with every clone).
+    counters: Arc<Counters>,
 }
 
 impl Default for Catalog {
@@ -669,11 +634,8 @@ impl Default for Catalog {
                 .collect(),
             budget: AtomicU64::new(u64::MAX),
             bytes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            admission_rejects: AtomicU64::new(0),
             eviction_log: Mutex::new(Ring::new(EVICTION_LOG_CAPACITY)),
-            sections_faulted: AtomicU64::new(0),
-            lazy_decode_nanos: AtomicU64::new(0),
+            counters: Arc::default(),
         }
     }
 }
@@ -685,9 +647,9 @@ impl Clone for Catalog {
     /// encoded body, so a section decoded in either generation is decoded
     /// once; the clone charges its byte gauge on first observation).
     /// Entries whose materialization is still in flight in another thread
-    /// are skipped. Budget, counters and the eviction log are copied by
-    /// value; the clone's byte gauge is recomputed from the entries it
-    /// actually kept.
+    /// are skipped. Budget and the eviction log are copied by value and
+    /// the lifetime counters are shared; the clone's byte gauge is
+    /// recomputed from the entries it actually kept.
     fn clone(&self) -> Catalog {
         let mut bytes = 0u64;
         let shards = self
@@ -753,16 +715,13 @@ impl Clone for Catalog {
             shards,
             budget: AtomicU64::new(self.budget.load(Ordering::Relaxed)),
             bytes: AtomicU64::new(bytes),
-            evictions: AtomicU64::new(self.evictions.load(Ordering::Relaxed)),
-            admission_rejects: AtomicU64::new(self.admission_rejects.load(Ordering::Relaxed)),
             eviction_log: Mutex::new(
                 self.eviction_log
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .clone(),
             ),
-            sections_faulted: AtomicU64::new(self.sections_faulted.load(Ordering::Relaxed)),
-            lazy_decode_nanos: AtomicU64::new(self.lazy_decode_nanos.load(Ordering::Relaxed)),
+            counters: Arc::clone(&self.counters),
         }
     }
 }
@@ -848,27 +807,6 @@ impl Catalog {
     /// Bytes currently held by completed, admitted extensions.
     pub fn cache_bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of budget-driven evictions.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of refused admissions.
-    pub fn admission_rejects(&self) -> u64 {
-        self.admission_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of pending snapshot sections decoded on first
-    /// probe (lazy restore faults).
-    pub fn sections_faulted(&self) -> u64 {
-        self.sections_faulted.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds spent decoding faulted sections.
-    pub fn lazy_decode_nanos(&self) -> u64 {
-        self.lazy_decode_nanos.load(Ordering::Relaxed)
     }
 
     /// The most recent eviction/rejection records, oldest first (bounded
@@ -969,11 +907,12 @@ impl Catalog {
                 let released = self.retire(&entry);
                 if released > 0 {
                     let admission_reject = newest == Some(key);
-                    if admission_reject {
-                        self.admission_rejects.fetch_add(1, Ordering::Relaxed);
+                    let counter = if admission_reject {
+                        &self.counters.admission_rejects
                     } else {
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
+                        &self.counters.evictions
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
                     self.log_eviction(EvictionRecord {
                         doc: key.0,
                         view: key.1,
@@ -1143,11 +1082,9 @@ impl Catalog {
 
     /// Every *completed* cached extension of `doc` as `(view index,
     /// extension, hits, rebuild nanos)`, sorted by view index — the set
-    /// the update path maintains across an edit. In-flight
-    /// materializations are skipped; they belong to the pre-edit
-    /// document, and the update's commit step evicts their slots so they
-    /// finish orphaned (private to the query that started them) instead
-    /// of publishing stale state.
+    /// the update path maintains across an edit. Still-encoded lazy
+    /// sections are skipped; the update drops them with the rest of the
+    /// document's pre-edit entries.
     fn completed_for(&self, doc: usize) -> Vec<(usize, Arc<ProbExtension>, u64, u64)> {
         let mut out: Vec<(usize, Arc<ProbExtension>, u64, u64)> = self
             .shards
@@ -1173,17 +1110,10 @@ impl Catalog {
         out
     }
 
-    /// The memoized extension of view `view_idx` over the document
-    /// `fetch` returns; materializes on first use. Returns the extension
-    /// and whether it was a cache hit (single-flight waiters count as
-    /// hits — they did not materialize).
-    ///
-    /// `fetch` runs *inside* the materializing closure, not before the
-    /// slot lookup: it re-reads the engine's current document under its
-    /// per-document lock, so a materialization whose slot was inserted
-    /// after an `apply_edits` commit can only ever see the post-edit
-    /// document — a query still holding a pre-edit snapshot cannot
-    /// publish a stale extension into the shared cache.
+    /// The memoized extension of view `view_idx` over document `doc`
+    /// (whose content is `pdoc`); materializes on first use. Returns the
+    /// extension and whether it was a cache hit (single-flight waiters
+    /// count as hits — they did not materialize).
     ///
     /// A completing materialization charges its measured footprint to the
     /// byte gauge — but only if its slot is still the one in the map
@@ -1195,7 +1125,7 @@ impl Catalog {
     fn extension(
         &self,
         doc: usize,
-        fetch: impl Fn() -> Arc<PDocument>,
+        pdoc: &PDocument,
         view_idx: usize,
     ) -> Result<(Arc<ProbExtension>, Probe), EngineError> {
         let key = (doc, view_idx);
@@ -1211,7 +1141,7 @@ impl Catalog {
         // Lazily restored entries decode their snapshot section on first
         // probe instead of materializing from the document.
         if let Some(pending) = entry.pending.clone() {
-            return self.fault_section(key, &entry, &pending, fetch);
+            return self.fault_section(key, &entry, &pending, pdoc);
         }
         // Single-flight: get_or_init runs the closure in exactly one
         // thread; racing threads block here and share the result, so the
@@ -1220,7 +1150,7 @@ impl Catalog {
         let ext = Arc::clone(entry.slot.get_or_init(|| {
             materialized = true;
             let start = Instant::now();
-            let built = Arc::new(ProbExtension::materialize(&fetch(), &self.views[view_idx]));
+            let built = Arc::new(ProbExtension::materialize(pdoc, &self.views[view_idx]));
             entry
                 .meta
                 .rebuild_nanos
@@ -1281,7 +1211,7 @@ impl Catalog {
         key: (usize, usize),
         entry: &CacheEntry,
         pending: &PendingBody,
-        fetch: impl Fn() -> Arc<PDocument>,
+        pdoc: &PDocument,
     ) -> Result<(Arc<ProbExtension>, Probe), EngineError> {
         let hit = |ext: &Arc<ProbExtension>| {
             if entry.meta.acct.load(Ordering::Relaxed) == ACCT_PENDING {
@@ -1319,7 +1249,6 @@ impl Catalog {
         // The eager restore path cross-checks every original-node
         // reference against the target document before serving; the lazy
         // path runs exactly that check at fault time.
-        let pdoc = fetch();
         let consistent = |ext_node: NodeId, orig: NodeId| {
             pdoc.contains(orig) && pdoc.label(orig) == ext.pdoc.label(ext_node)
         };
@@ -1343,8 +1272,12 @@ impl Catalog {
         let _ = entry.slot.set(Arc::clone(&ext));
         drop(flight);
         self.charge(key, entry);
-        self.sections_faulted.fetch_add(1, Ordering::Relaxed);
-        self.lazy_decode_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.counters
+            .sections_faulted
+            .fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .lazy_decode_ns
+            .fetch_add(nanos, Ordering::Relaxed);
         Ok((ext, Probe::Faulted))
     }
 }
@@ -1475,43 +1408,35 @@ impl QueryLog {
 
 /// The stateful query-answering engine (see the module docs for a tour).
 ///
-/// Registration (`add_document`, `register_view`) takes `&mut self`;
-/// every query path (`answer*`, `plan*`, `warm`) takes `&self` and is
-/// safe to call from many threads at once. Mutation of *existing*
-/// documents ([`Engine::apply_edits`], [`Engine::invalidate`],
-/// [`Engine::replace_document`]) also takes `&self` — document slots sit
-/// behind per-document locks, the catalog is sharded, and the epoch is
-/// atomic — so a served (shared) engine can be updated in place. Writers
-/// are internally consistent but a query racing an `apply_edits` call on
-/// the *same document* may observe the pre-edit extension of one view and
-/// the post-edit extension of another; when cross-view consistency
-/// matters, either serialize updates against queries or — as the `prxd`
-/// server does — wrap the engine in an [`EpochEngine`] so edits prepare
-/// a fresh engine off to the side and publish it atomically.
+/// Registration and document mutation (`add_document`, `register_view`,
+/// [`Engine::replace_document`], [`Engine::apply_edits`]) take
+/// `&mut self`; every query path (`answer*`, `plan*`, `warm`) takes
+/// `&self` and is safe to call from many threads at once. A document's
+/// content therefore never changes under a query: a served engine is
+/// mutated through [`EpochEngine::update`], which edits a private clone
+/// and publishes it whole. Only recomputable cache state changes under
+/// `&self` ([`Engine::invalidate`], [`Engine::set_cache_budget`], cache
+/// fill) — through the sharded catalog and atomic epoch. Clones share
+/// the lifetime counters ([`EngineStats`]), so every epoch published
+/// from one engine counts into one set.
 ///
 /// # Lock poisoning
 ///
 /// Every internal lock acquisition recovers from poisoning
 /// (`unwrap_or_else(PoisonError::into_inner)`) instead of propagating the
-/// panic. This is sound because guarded values are only ever replaced
-/// wholesale (document slots swap a whole `Arc`) or hold *cache* state
-/// (extensions, plans, the query log) that is recomputable by
-/// construction; [`Engine::apply_edits`] commits by evicting before
-/// reinstalling, so an unwind mid-commit leaves the cache cold for that
-/// document, never stale. Without recovery, one panicking request would
-/// turn every subsequent lock acquisition into a panic — a death spiral
-/// the serving-layer regression tests pin down.
+/// panic. This is sound because every lock guards *cache* state
+/// (extensions, plans, the query and eviction logs) that is recomputable
+/// by construction. Without recovery, one panicking request would turn
+/// every subsequent lock acquisition into a panic — a death spiral the
+/// serving-layer regression tests pin down.
 #[derive(Debug)]
 pub struct Engine {
-    /// Per-document slots: the `Vec` only grows (under `&mut` in
-    /// [`Engine::add_document`]); each slot's content is swappable under
-    /// `&self` through its own lock.
-    documents: Vec<RwLock<Arc<PDocument>>>,
+    /// Document contents by [`DocId`]; replaced only under `&mut self`.
+    documents: Vec<Arc<PDocument>>,
     doc_names: HashMap<String, usize>,
     doc_stats: Vec<AtomicDocStats>,
     catalog: Catalog,
     options: QueryOptions,
-    stats: AtomicEngineStats,
     plan_cache: PlanCache,
     plan_tick: AtomicU64,
     plan_cache_capacity: AtomicUsize,
@@ -1527,7 +1452,6 @@ impl Default for Engine {
             doc_stats: Vec::new(),
             catalog: Catalog::default(),
             options: QueryOptions::default(),
-            stats: AtomicEngineStats::default(),
             plan_cache: RwLock::new(HashMap::new()),
             plan_tick: AtomicU64::new(0),
             plan_cache_capacity: AtomicUsize::new(PLAN_CACHE_CAPACITY),
@@ -1540,15 +1464,7 @@ impl Default for Engine {
 impl Clone for Engine {
     fn clone(&self) -> Engine {
         Engine {
-            documents: self
-                .documents
-                .iter()
-                .map(|slot| {
-                    RwLock::new(Arc::clone(
-                        &slot.read().unwrap_or_else(PoisonError::into_inner),
-                    ))
-                })
-                .collect(),
+            documents: self.documents.clone(),
             doc_names: self.doc_names.clone(),
             doc_stats: self
                 .doc_stats
@@ -1563,7 +1479,6 @@ impl Clone for Engine {
                 .collect(),
             catalog: self.catalog.clone(),
             options: self.options.clone(),
-            stats: AtomicEngineStats::restore(self.stats.snapshot()),
             plan_cache: RwLock::new(
                 self.plan_cache
                     .read()
@@ -1626,19 +1541,18 @@ impl Engine {
             .map_err(|e| EngineError::InvalidDocument(e.to_string()))?;
         let id = DocId(self.documents.len());
         self.doc_names.insert(name, id.0);
-        self.documents.push(RwLock::new(Arc::new(pdoc)));
+        self.documents.push(Arc::new(pdoc));
         self.doc_stats.push(AtomicDocStats::default());
         Ok(id)
     }
 
-    /// The document behind a handle — a cheap shared snapshot of the
-    /// slot's current content ([`Engine::apply_edits`] and
-    /// [`Engine::replace_document`] swap the slot; handles already taken
-    /// keep the content they saw).
+    /// The document behind a handle, as a cheap shared handle
+    /// ([`Engine::apply_edits`] and [`Engine::replace_document`] install
+    /// new content; handles already taken keep the content they saw).
     pub fn document(&self, id: DocId) -> Result<Arc<PDocument>, EngineError> {
         self.documents
             .get(id.0)
-            .map(|slot| Arc::clone(&slot.read().unwrap_or_else(PoisonError::into_inner)))
+            .cloned()
             .ok_or(EngineError::UnknownDocument(id))
     }
 
@@ -1656,14 +1570,14 @@ impl Engine {
     /// extensions (resetting the document's [`DocStats`]). For localized
     /// changes prefer [`Engine::apply_edits`], which *keeps* the cache
     /// warm by maintaining extensions incrementally.
-    pub fn replace_document(&self, id: DocId, pdoc: PDocument) -> Result<(), EngineError> {
+    pub fn replace_document(&mut self, id: DocId, pdoc: PDocument) -> Result<(), EngineError> {
         pdoc.validate()
             .map_err(|e| EngineError::InvalidDocument(e.to_string()))?;
         let slot = self
             .documents
-            .get(id.0)
+            .get_mut(id.0)
             .ok_or(EngineError::UnknownDocument(id))?;
-        *slot.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(pdoc);
+        *slot = Arc::new(pdoc);
         self.invalidate(id)?;
         Ok(())
     }
@@ -1681,7 +1595,9 @@ impl Engine {
         let evicted = self.catalog.invalidate(doc);
         self.doc_stats[doc.0].reset();
         if evicted > 0 {
-            self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.counters()
+                .invalidations
+                .fetch_add(1, Ordering::Relaxed);
         }
         self.bump_epoch();
         Ok(evicted)
@@ -1732,22 +1648,16 @@ impl Engine {
     /// assert_eq!(again.stats.materializations, 0);
     /// assert!((again.nodes[0].1 - 0.25).abs() < 1e-12);
     /// ```
-    pub fn apply_edits(&self, doc: DocId, edits: &[Edit]) -> Result<UpdateReport, EngineError> {
-        let slot = self
-            .documents
-            .get(doc.0)
-            .ok_or(EngineError::UnknownDocument(doc))?;
+    pub fn apply_edits(&mut self, doc: DocId, edits: &[Edit]) -> Result<UpdateReport, EngineError> {
+        let current = self.document(doc)?;
         if edits.is_empty() {
             return Ok(UpdateReport::default());
         }
-        // Serialize writers on this document for the whole operation; the
-        // swap at the end publishes the post-edit state.
-        let mut guard = slot.write().unwrap_or_else(PoisonError::into_inner);
         // Build the chain of intermediate documents (edit k maps state k
         // to state k+1) on private copies — one clone per edit, nothing
-        // published until every edit has validated.
+        // installed until every edit has validated.
         let mut states: Vec<Arc<PDocument>> = Vec::with_capacity(edits.len() + 1);
-        states.push(Arc::clone(&guard));
+        states.push(current);
         let mut effects = Vec::with_capacity(edits.len());
         for edit in edits {
             let mut next = (**states.last().expect("seeded")).clone();
@@ -1777,16 +1687,9 @@ impl Engine {
             maintained.push((view_idx, cur, hits, rebuild_nanos));
         }
         report.extensions_maintained = maintained.len();
-        // Commit — still under the per-document write lock, so a second
-        // apply_edits on the same document cannot read the new document
-        // with the old cache (it blocks on the guard until the catalog
-        // matches the published state). Evicting the document's slots
-        // first also orphans any *in-flight* materialization another
-        // query started against the pre-edit document: that query keeps
-        // its private slot handle and finishes with a consistent
-        // pre-edit answer, but the stale slot can never be published to
-        // later queries.
-        *guard = states.pop().expect("seeded");
+        // Install the post-edit document and replace its cache entries
+        // with the maintained set.
+        self.documents[doc.0] = states.pop().expect("seeded");
         self.catalog.invalidate(doc);
         for (view_idx, ext, hits, rebuild_nanos) in maintained {
             // Maintained entries keep their learned score components: an
@@ -1795,18 +1698,17 @@ impl Engine {
                 .install_entry(doc.0, view_idx, ext, rebuild_nanos, hits);
         }
         // Maintenance may have grown extensions past the budget; enforce
-        // once for the whole batch (inside the document lock, so later
-        // writers see a settled cache).
+        // once for the whole batch.
         self.catalog.enforce_budget(None);
         self.bump_epoch();
-        drop(guard);
-        self.stats
+        let counters = self.counters();
+        counters
             .edits_applied
             .fetch_add(report.edits as u64, Ordering::Relaxed);
-        self.stats
+        counters
             .deltas_applied
             .fetch_add(report.deltas_applied, Ordering::Relaxed);
-        self.stats
+        counters
             .delta_fallbacks
             .fetch_add(report.delta_fallbacks, Ordering::Relaxed);
         Ok(report)
@@ -1854,15 +1756,16 @@ impl Engine {
     }
 
     /// Lifetime counters (a consistent-enough snapshot of the atomics;
-    /// exact once concurrent queries have quiesced).
+    /// exact once concurrent queries have quiesced). Shared with every
+    /// clone of this engine.
     pub fn stats(&self) -> EngineStats {
-        let mut snapshot = self.stats.snapshot();
-        snapshot.cache_bytes = self.catalog.cache_bytes();
-        snapshot.evictions = self.catalog.evictions();
-        snapshot.admission_rejects = self.catalog.admission_rejects();
-        snapshot.sections_faulted = self.catalog.sections_faulted();
-        snapshot.lazy_decode_ns = self.catalog.lazy_decode_nanos();
-        snapshot
+        self.counters().snapshot(self.catalog.cache_bytes())
+    }
+
+    /// The lifetime counter set (held by the catalog, which counts
+    /// evictions and lazy faults itself).
+    fn counters(&self) -> &Counters {
+        &self.catalog.counters
     }
 
     /// Sets the extension-cache byte budget (`u64::MAX` = unbounded) and
@@ -2027,11 +1930,15 @@ impl Engine {
                     self.plan_tick.fetch_add(1, Ordering::Relaxed) + 1,
                     Ordering::Relaxed,
                 );
-                self.stats.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters()
+                    .plan_cache_hits
+                    .fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(&entry.plan);
             }
         }
-        self.stats.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters()
+            .plan_cache_misses
+            .fetch_add(1, Ordering::Relaxed);
         let planned = Arc::new(plan_checked(
             q,
             &self.catalog.views,
@@ -2105,17 +2012,18 @@ impl Engine {
     /// number of extensions newly made resident (materialized, or faulted
     /// in from a lazy snapshot section).
     pub fn warm(&self, doc: DocId) -> Result<usize, EngineError> {
-        self.document(doc)?;
-        let fetch = || self.document(doc).expect("doc checked above");
+        let pdoc = self.document(doc)?;
         let mut new = 0;
         for i in 0..self.catalog.views.len() {
-            let (_, probe) = self.catalog.extension(doc.0, fetch, i)?;
+            let (_, probe) = self.catalog.extension(doc.0, &pdoc, i)?;
             match probe {
                 Probe::Hit => {}
                 Probe::Faulted => new += 1,
                 Probe::Materialized => {
                     new += 1;
-                    self.stats.materializations.fetch_add(1, Ordering::Relaxed);
+                    self.counters()
+                        .materializations
+                        .fetch_add(1, Ordering::Relaxed);
                     self.doc_stats[doc.0]
                         .materializations
                         .fetch_add(1, Ordering::Relaxed);
@@ -2139,7 +2047,7 @@ impl Engine {
         q: &TreePattern,
         options: &QueryOptions,
     ) -> Result<Answer, EngineError> {
-        self.document(doc)?;
+        let pdoc = self.document(doc)?;
         // When profiling is off (the default) every timing site below is
         // a `None` branch — no clocks are read, so the answer path is
         // bit-identical to an uninstrumented run. The spans are equally
@@ -2195,13 +2103,12 @@ impl Engine {
         let mut mats = 0;
         let mut probe_nanos = 0u64;
         let mut materialize_nanos = 0u64;
-        let fetch = || self.document(doc).expect("doc checked above");
         let mut slots: HashMap<usize, Arc<ProbExtension>> = HashMap::new();
         for &i in &referenced {
             let mut span_probe = pxv_obs::Span::enter("probe");
             span_probe.record("view", i as u64);
             let t_ext = t_total.map(|_| Instant::now());
-            let (ext, probe) = self.catalog.extension(doc.0, fetch, i)?;
+            let (ext, probe) = self.catalog.extension(doc.0, &pdoc, i)?;
             span_probe.record("hit", (probe != Probe::Materialized) as u64);
             span_probe.record("fault", (probe == Probe::Faulted) as u64);
             if let Some(t) = t_ext {
@@ -2241,15 +2148,16 @@ impl Engine {
         span_eval.record("candidates", candidates as u64);
         drop(span_eval);
         let eval_nanos = t_eval.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
+        let counters = self.counters();
+        counters.queries.fetch_add(1, Ordering::Relaxed);
         match &plan {
-            Plan::Tp(_) => self.stats.plans_tp.fetch_add(1, Ordering::Relaxed),
-            Plan::Tpi(_) => self.stats.plans_tpi.fetch_add(1, Ordering::Relaxed),
+            Plan::Tp(_) => counters.plans_tp.fetch_add(1, Ordering::Relaxed),
+            Plan::Tpi(_) => counters.plans_tpi.fetch_add(1, Ordering::Relaxed),
         };
-        self.stats
+        counters
             .materializations
             .fetch_add(mats as u64, Ordering::Relaxed);
-        self.stats
+        counters
             .cache_hits
             .fetch_add(hits as u64, Ordering::Relaxed);
         self.doc_stats[doc.0]
@@ -2378,11 +2286,7 @@ impl Engine {
         }
         let documents = names
             .into_iter()
-            .zip(
-                self.documents
-                    .iter()
-                    .map(|slot| (**slot.read().unwrap_or_else(PoisonError::into_inner)).clone()),
-            )
+            .zip(self.documents.iter().map(|pdoc| (**pdoc).clone()))
             .collect();
         let extensions = self
             .catalog
@@ -2507,7 +2411,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Rebuilds an engine from a [`LazySnapshot`] (see
+    /// Rebuilds an engine from a [`LazySnapshot`](pxv_store::LazySnapshot) (see
     /// [`pxv_store::decode_snapshot_lazy`]): documents and views are
     /// installed eagerly, but each still-encoded extension section is
     /// parked as a pending catalog slot holding only a reference into the
@@ -2603,8 +2507,8 @@ impl Engine {
     fn direct_answer(&self, doc: DocId, q: &TreePattern, description: String) -> Answer {
         let pdoc = self.document(doc).expect("caller checked doc");
         let nodes = pxv_peval::eval_tp(&pdoc, q);
-        self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        self.stats.direct.fetch_add(1, Ordering::Relaxed);
+        self.counters().queries.fetch_add(1, Ordering::Relaxed);
+        self.counters().direct.fetch_add(1, Ordering::Relaxed);
         Answer {
             stats: QueryStats {
                 candidates: nodes.len(),
@@ -2638,6 +2542,8 @@ impl Engine {
 ///   index*, not the data), runs the mutation on the private clone, and
 ///   publishes it only if the closure returns `Ok` — an error (or a
 ///   panic) discards the clone and leaves the published epoch untouched.
+///   The clone shares the lifetime counters, so reader increments made
+///   while a writer prepares are never lost.
 /// - [`EpochEngine::update_in_place`] is for mutations that are already
 ///   safe under concurrent readers by the engine's own design
 ///   (`set_cache_budget`, `invalidate`: interior-mutability paths whose
@@ -2646,13 +2552,8 @@ impl Engine {
 ///   epoch bump.
 /// - In-flight readers keep the epoch they started with: a query that
 ///   began on epoch `n` completes against epoch `n` even if epoch `n+1`
-///   publishes midway — snapshot isolation, the cross-view consistency
-///   the [`Engine`] docs ask for, without serializing reads.
-///
-/// The documented trade-off: statistics incremented by readers of epoch
-/// `n` *during* a writer's prepare window are not reflected in epoch
-/// `n+1` (the clone carried a snapshot of the counters). Counters are
-/// telemetry, not ledger state; sequential flows observe exact values.
+///   publishes midway — snapshot isolation: a query never mixes one
+///   view's pre-edit extension with another's post-edit one.
 #[derive(Debug)]
 pub struct EpochEngine {
     /// The published epoch. Lock hold times are O(1): `Arc` clone on
@@ -3026,7 +2927,7 @@ mod tests {
     /// cold engine built from the post-edit document.
     #[test]
     fn apply_edits_keeps_cache_warm_and_matches_cold_engine() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         let q = p("IT-personnel//person/bonus[laptop]");
         let before = e.answer(doc, &q).unwrap();
@@ -3088,7 +2989,7 @@ mod tests {
     /// leaves the document, the cache, and the counters untouched.
     #[test]
     fn apply_edits_is_transactional() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         let before_text = e.document(doc).unwrap().to_string();
         let epoch = e.catalog_epoch();
@@ -3128,7 +3029,7 @@ mod tests {
     /// fresh ids, and new match candidates appear in maintained answers.
     #[test]
     fn apply_edits_insert_reports_fresh_ids() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         let next = e.document(doc).unwrap().next_fresh_id();
         let report = e
@@ -3157,7 +3058,7 @@ mod tests {
     /// extensions.
     #[test]
     fn snapshot_carries_post_edit_state() {
-        let (e, doc) = bonus_engine();
+        let (mut e, doc) = bonus_engine();
         e.warm(doc).unwrap();
         e.apply_edits(
             doc,
@@ -3187,48 +3088,43 @@ mod tests {
         );
     }
 
-    /// Review regression: two `apply_edits` calls racing on the same
-    /// document (plus concurrent queries) must leave the cache matching
-    /// the final document — the commit publishes document, evicted
-    /// slots, and maintained extensions under one per-document write
-    /// lock, so no interleaving can pin a stale extension.
+    /// Two writers publishing edits of the same document through an
+    /// [`EpochEngine`] (plus concurrent readers) leave the published cache
+    /// matching the final document: each update edits a private clone of
+    /// the latest epoch, so no interleaving can pin a stale extension.
     #[test]
     fn concurrent_apply_edits_keep_cache_consistent() {
         let (e, doc) = bonus_engine();
         e.warm(doc).unwrap();
+        let ee = EpochEngine::new(e);
         let q = p("IT-personnel//person/bonus[laptop]");
+        let set_prob = |node: u32| {
+            ee.update(|e| {
+                e.apply_edits(
+                    doc,
+                    &[Edit::SetProb {
+                        node: NodeId(node),
+                        prob: 0.5,
+                    }],
+                )
+            })
+            .unwrap();
+        };
         std::thread::scope(|scope| {
             // Two writers reweighing different mux branches of the same
             // document (commuting edits: the final document is the same
             // under either serialization), plus query traffic.
-            scope.spawn(|| {
-                e.apply_edits(
-                    doc,
-                    &[Edit::SetProb {
-                        node: NodeId(24),
-                        prob: 0.5,
-                    }],
-                )
-                .unwrap();
-            });
-            scope.spawn(|| {
-                e.apply_edits(
-                    doc,
-                    &[Edit::SetProb {
-                        node: NodeId(8),
-                        prob: 0.5,
-                    }],
-                )
-                .unwrap();
-            });
+            scope.spawn(|| set_prob(24));
+            scope.spawn(|| set_prob(8));
             scope.spawn(|| {
                 for _ in 0..20 {
-                    let _ = e.answer(doc, &q);
+                    let _ = ee.read().answer(doc, &q);
                 }
             });
         });
         // The settled cache answers bit-identically to a cold engine
         // built from the final document, without re-materializing.
+        let e = ee.read();
         let mut cold = Engine::new();
         let cd = cold
             .add_document("pper", (*e.document(doc).unwrap()).clone())
@@ -3242,6 +3138,61 @@ mod tests {
         assert_eq!(got.stats.materializations, 0, "cache settled warm");
         assert_eq!(got.nodes, cold.answer(cd, &q).unwrap().nodes);
         assert_eq!(e.stats().edits_applied, 2);
+    }
+
+    /// Every epoch an [`EpochEngine`] publishes shares one counter set:
+    /// reader increments made while a writer prepares its clone are not
+    /// lost when the clone is published.
+    #[test]
+    fn epoch_counters_keep_every_reader_increment() {
+        use std::sync::atomic::AtomicBool;
+        let (e, doc) = bonus_engine();
+        e.warm(doc).unwrap();
+        let ee = EpochEngine::new(e);
+        let q = p("IT-personnel//person/bonus[laptop]");
+        let done = AtomicBool::new(false);
+        // Readers and the writer start together, so reads overlap the
+        // writer's prepare windows.
+        let start = std::sync::Barrier::new(3);
+        let (answers, hits) = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let (mut answers, mut hits) = (0u64, 0u64);
+                        while !done.load(Ordering::SeqCst) {
+                            let a = ee.read().answer(doc, &q).unwrap();
+                            answers += 1;
+                            hits += a.stats.cache_hits as u64;
+                        }
+                        (answers, hits)
+                    })
+                })
+                .collect();
+            start.wait();
+            for i in 0..200 {
+                ee.update(|e| {
+                    e.apply_edits(
+                        doc,
+                        &[Edit::SetProb {
+                            node: NodeId(24),
+                            prob: if i % 2 == 0 { 0.45 } else { 0.9 },
+                        }],
+                    )
+                })
+                .unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+            readers
+                .into_iter()
+                .map(|r| r.join().unwrap())
+                .fold((0, 0), |(a, h), (ra, rh)| (a + ra, h + rh))
+        });
+        assert_eq!(ee.epoch(), 200);
+        let stats = ee.read().stats();
+        assert_eq!(stats.queries, answers, "every answer counted once");
+        assert_eq!(stats.cache_hits, hits, "every cache hit counted once");
+        assert_eq!(stats.edits_applied, 200);
     }
 
     #[test]

@@ -1,105 +1,10 @@
-//! Canonical wire-key names for `STATS` and `PROFILE` responses.
+//! Canonical wire-key names for `PROFILE` responses.
 //!
-//! The `STATS` line is assembled by the server, parsed by the client,
-//! and asserted on by the e2e tests — three sites that historically each
-//! spelled the key names by hand and drifted. These constants are the
-//! single spelling; [`STATS_KEYS`] fixes the emission order so a test
-//! can iterate the canonical list and demand every key appears.
-
-/// Documents loaded.
-pub const STATS_DOCS: &str = "docs";
-/// Views registered.
-pub const STATS_VIEWS: &str = "views";
-/// Server-observed catalog epoch.
-pub const STATS_EPOCH: &str = "epoch";
-/// Engine-side catalog epoch.
-pub const STATS_ENGINE_EPOCH: &str = "engine_epoch";
-/// Queries answered.
-pub const STATS_QUERIES: &str = "queries";
-/// Answers served by the TP (single-path) evaluator.
-pub const STATS_TP: &str = "tp";
-/// Answers served by the TPI (interleaving) evaluator.
-pub const STATS_TPI: &str = "tpi";
-/// Answers served by direct evaluation fallback.
-pub const STATS_DIRECT: &str = "direct";
-/// View extensions materialized.
-pub const STATS_MATS: &str = "mats";
-/// Extension-cache hits.
-pub const STATS_EXTHITS: &str = "exthits";
-/// Cache invalidations.
-pub const STATS_INVAL: &str = "inval";
-/// Plan-cache hits.
-pub const STATS_PLANHITS: &str = "planhits";
-/// Plan-cache misses.
-pub const STATS_PLANMISS: &str = "planmiss";
-/// Document edits applied.
-pub const STATS_EDITS: &str = "edits";
-/// Delta (incremental) maintenance events.
-pub const STATS_DELTAS: &str = "deltas";
-/// Queries that fell back to direct evaluation.
-pub const STATS_FALLBACKS: &str = "fallbacks";
-/// Extension-cache resident bytes.
-pub const STATS_CACHE_BYTES: &str = "cache_bytes";
-/// Cache evictions performed.
-pub const STATS_EVICTIONS: &str = "evictions";
-/// Cache admissions rejected.
-pub const STATS_ADMISSION_REJECTS: &str = "admission_rejects";
-/// Lazy snapshot sections decoded on first probe.
-pub const STATS_SECTIONS_FAULTED: &str = "sections_faulted";
-/// Nanoseconds spent decoding lazily faulted sections.
-pub const STATS_LAZY_DECODE_NS: &str = "lazy_decode_ns";
-/// Connections accepted.
-pub const STATS_CONNS: &str = "conns";
-/// Connections rejected at the accept gate.
-pub const STATS_REJECTED: &str = "rejected";
-/// Connections currently active.
-pub const STATS_ACTIVE: &str = "active";
-/// Requests handled.
-pub const STATS_REQUESTS: &str = "requests";
-/// Requests that returned an error.
-pub const STATS_ERRORS: &str = "errors";
-/// Requests that arrived pipelined behind another.
-pub const STATS_PIPELINED: &str = "pipelined";
-/// Span records dropped from overflowing trace rings.
-pub const STATS_SPANS_DROPPED: &str = "spans_dropped";
-/// Request latency p50 (µs, bucket upper bound).
-pub const STATS_P50US: &str = "p50us";
-/// Request latency p99 (µs, bucket upper bound).
-pub const STATS_P99US: &str = "p99us";
-
-/// Every `STATS` key, in the exact order the server emits them.
-pub const STATS_KEYS: [&str; 30] = [
-    STATS_DOCS,
-    STATS_VIEWS,
-    STATS_EPOCH,
-    STATS_ENGINE_EPOCH,
-    STATS_QUERIES,
-    STATS_TP,
-    STATS_TPI,
-    STATS_DIRECT,
-    STATS_MATS,
-    STATS_EXTHITS,
-    STATS_INVAL,
-    STATS_PLANHITS,
-    STATS_PLANMISS,
-    STATS_EDITS,
-    STATS_DELTAS,
-    STATS_FALLBACKS,
-    STATS_CACHE_BYTES,
-    STATS_EVICTIONS,
-    STATS_ADMISSION_REJECTS,
-    STATS_SECTIONS_FAULTED,
-    STATS_LAZY_DECODE_NS,
-    STATS_CONNS,
-    STATS_REJECTED,
-    STATS_ACTIVE,
-    STATS_REQUESTS,
-    STATS_ERRORS,
-    STATS_PIPELINED,
-    STATS_SPANS_DROPPED,
-    STATS_P50US,
-    STATS_P99US,
-];
+//! The `PROFILE` line is assembled by the server, parsed by the client,
+//! and asserted on by the e2e tests. These constants are the single
+//! spelling; [`PROFILE_KEYS`] fixes the emission order so a test can
+//! iterate the canonical list and demand every key appears. (`STATS`
+//! keys live in the server's row table, `pxv_server::stats`.)
 
 /// Time spent parsing the wire request (µs).
 pub const PROFILE_PARSE_US: &str = "parse_us";
@@ -141,10 +46,6 @@ mod tests {
     #[test]
     fn key_lists_have_no_duplicates() {
         assert_eq!(
-            STATS_KEYS.iter().collect::<HashSet<_>>().len(),
-            STATS_KEYS.len()
-        );
-        assert_eq!(
             PROFILE_KEYS.iter().collect::<HashSet<_>>().len(),
             PROFILE_KEYS.len()
         );
@@ -152,7 +53,7 @@ mod tests {
 
     #[test]
     fn keys_are_wire_safe() {
-        for k in STATS_KEYS.iter().chain(PROFILE_KEYS.iter()) {
+        for k in PROFILE_KEYS {
             assert!(
                 k.bytes()
                     .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'),

@@ -38,7 +38,7 @@
 //!   and the server's `PROFILE` verb serializes.
 //! - [`slow`] — a thresholded slow-request log over a bounded ring,
 //!   dumped by the server's `STATS SLOW` verb.
-//! - [`keys`] — the canonical `STATS` wire-key list, so the server, the
+//! - [`keys`] — the canonical `PROFILE` wire-key list, so the server, the
 //!   client and the e2e tests can never drift apart on key names.
 //!
 //! ```

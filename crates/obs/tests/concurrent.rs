@@ -156,24 +156,33 @@ fn metrics_scrape_races_epoch_publisher_monotonically() {
     let stop = AtomicBool::new(false);
     let mut last_queries = 0u64;
     let mut last_epoch_seen = 0u64;
-    std::thread::scope(|scope| {
+    let published = std::thread::scope(|scope| {
         let writer = {
             let queries = queries.clone();
             let epoch = epoch.clone();
             let stop = &stop;
+            // Returns how many epochs it published: `stop` may cut the
+            // run short, so the lost-increment check scales with it.
             scope.spawn(move || {
+                let mut published = 0u64;
                 for e in 1..=1_000u64 {
                     for _ in 0..37 {
                         queries.inc();
                     }
                     epoch.set(e); // publish
+                    published = e;
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
                 }
+                published
             })
         };
-        for _ in 0..200 {
+        // Keep scraping until a publish has been seen: on a busy host the
+        // writer may not be scheduled before 200 scrapes are done.
+        let mut scrapes = 0;
+        while scrapes < 200 || last_epoch_seen == 0 {
+            scrapes += 1;
             let text = registry.render();
             let mut scraped_queries = None;
             let mut scraped_epoch = None;
@@ -195,10 +204,10 @@ fn metrics_scrape_races_epoch_publisher_monotonically() {
             last_epoch_seen = last_epoch_seen.max(e);
         }
         stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
+        writer.join().unwrap()
     });
     assert!(last_epoch_seen >= 1, "the race actually overlapped");
-    assert_eq!(queries.get(), 37_000, "no increments were lost");
+    assert_eq!(queries.get(), 37 * published, "no increments were lost");
 }
 
 /// Concurrent observers of a slow log with a flapping threshold: the log

@@ -1,8 +1,10 @@
 //! Server-side counters and the server's metric surface: atomic totals,
 //! the request-latency histogram (a `pxv_obs::Histogram`, shared with
-//! the metrics registry), and the reactor gauges exported by `METRICS`.
+//! the metrics registry), the reactor gauges exported by `METRICS`, and
+//! the one row table both `STATS` and `METRICS` are rendered from.
 
-use pxv_obs::{Counter, Gauge, Histogram, Registry};
+use pxv_engine::EngineStats;
+use pxv_obs::{Counter, Exposition, Gauge, Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Atomic lifetime counters of one server.
@@ -60,11 +62,145 @@ impl ServerStats {
     }
 }
 
+/// Every value `STATS` and `METRICS` report, read once per request from
+/// the published engine epoch and the server (see [`ROWS`] for what each
+/// field means on the wire).
+#[derive(Debug)]
+pub(crate) struct Sample {
+    pub(crate) docs: u64,
+    pub(crate) views: u64,
+    pub(crate) catalog_epoch: u64,
+    pub(crate) published_epochs: u64,
+    pub(crate) engine: EngineStats,
+    pub(crate) server: ServerStatsSnapshot,
+    pub(crate) active: u64,
+    pub(crate) slow_queries: u64,
+    pub(crate) spans_dropped: u64,
+}
+
+/// How a [`Row`] renders in the `METRICS` exposition.
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+use Kind::{Counter as C, Gauge as G};
+
+/// One datum of the `STATS` line and the `METRICS` exposition: the
+/// `STATS` key (`None` for a `METRICS`-only series), the metric kind and
+/// name, the value, and the metric's help text.
+struct Row(
+    Option<&'static str>,
+    Kind,
+    &'static str,
+    fn(&Sample) -> u64,
+    &'static str,
+);
+
+/// The single table behind `STATS` and `METRICS`: the `STATS` line emits
+/// the keyed rows in this order, and the exposition renders every row
+/// after the live registry. A datum added here is served by both verbs.
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    Row(Some("docs"), G, "pxv_engine_docs", |s| s.docs,
+        "Loaded documents."),
+    Row(Some("views"), G, "pxv_engine_views", |s| s.views,
+        "Registered views."),
+    Row(Some("epoch"), G, "pxv_engine_epoch", |s| s.catalog_epoch,
+        "Catalog epoch (bumped per mutation)."),
+    Row(Some("engine_epoch"), C, "pxv_engine_epochs_published_total", |s| s.published_epochs,
+        "Engine epochs published since the server started."),
+    Row(Some("queries"), C, "pxv_engine_queries_total", |s| s.engine.queries,
+        "Queries answered."),
+    Row(Some("tp"), C, "pxv_engine_tp_plans_total", |s| s.engine.plans_tp,
+        "Single-view TP plans executed."),
+    Row(Some("tpi"), C, "pxv_engine_tpi_plans_total", |s| s.engine.plans_tpi,
+        "Interleaving TPI plans executed."),
+    Row(Some("direct"), C, "pxv_engine_direct_total", |s| s.engine.direct,
+        "Direct (view-less) evaluations."),
+    Row(Some("mats"), C, "pxv_engine_materializations_total", |s| s.engine.materializations,
+        "View extensions materialized."),
+    Row(Some("exthits"), C, "pxv_engine_cache_hits_total", |s| s.engine.cache_hits,
+        "Extension cache hits."),
+    Row(Some("inval"), C, "pxv_engine_invalidations_total", |s| s.engine.invalidations,
+        "Cached extensions invalidated."),
+    Row(Some("planhits"), C, "pxv_engine_plan_cache_hits_total", |s| s.engine.plan_cache_hits,
+        "Plan cache hits."),
+    Row(Some("planmiss"), C, "pxv_engine_plan_cache_misses_total", |s| s.engine.plan_cache_misses,
+        "Plan cache misses."),
+    Row(Some("edits"), C, "pxv_engine_edits_total", |s| s.engine.edits_applied,
+        "Document edits applied."),
+    Row(Some("deltas"), C, "pxv_engine_deltas_total", |s| s.engine.deltas_applied,
+        "Extensions maintained incrementally under edits."),
+    Row(Some("fallbacks"), C, "pxv_engine_delta_fallbacks_total", |s| s.engine.delta_fallbacks,
+        "Extensions invalidated because no delta rule applied."),
+    Row(Some("cache_bytes"), G, "pxv_cache_bytes", |s| s.engine.cache_bytes,
+        "Bytes held by the extension cache."),
+    Row(Some("evictions"), C, "pxv_cache_evictions_total", |s| s.engine.evictions,
+        "Extensions evicted by the budget."),
+    Row(Some("admission_rejects"), C, "pxv_cache_admission_rejects_total",
+        |s| s.engine.admission_rejects, "Extensions refused admission by the budget."),
+    Row(Some("sections_faulted"), C, "pxv_store_sections_faulted_total",
+        |s| s.engine.sections_faulted, "Lazily restored snapshot sections decoded on first probe."),
+    Row(Some("lazy_decode_ns"), C, "pxv_store_lazy_decode_ns_total", |s| s.engine.lazy_decode_ns,
+        "Nanoseconds spent decoding lazily faulted sections."),
+    Row(Some("conns"), C, "pxv_server_connections_total", |s| s.server.connections,
+        "Connections accepted and admitted."),
+    Row(Some("rejected"), C, "pxv_server_rejected_total", |s| s.server.rejected,
+        "Connections rejected at the connection limit."),
+    Row(Some("active"), G, "pxv_server_active_connections", |s| s.active,
+        "Currently open connections."),
+    Row(Some("requests"), C, "pxv_server_requests_total", |s| s.server.requests,
+        "Requests handled."),
+    Row(Some("errors"), C, "pxv_server_errors_total", |s| s.server.errors,
+        "Requests answered with at least one ERR line."),
+    Row(Some("pipelined"), C, "pxv_server_pipelined_total", |s| s.server.pipelined,
+        "Requests that arrived pipelined behind an unanswered one."),
+    Row(None, C, "pxv_server_slow_queries_total", |s| s.slow_queries,
+        "Requests slower than the slow-log threshold."),
+    Row(Some("spans_dropped"), C, "pxv_obs_spans_dropped", |s| s.spans_dropped,
+        "Span records dropped from overflowing trace rings."),
+    Row(Some("p50us"), G, "pxv_server_request_p50_us", |s| s.server.p50_us,
+        "Median request latency (bucket upper bound, µs)."),
+    Row(Some("p99us"), G, "pxv_server_request_p99_us", |s| s.server.p99_us,
+        "99th-percentile request latency (bucket upper bound, µs)."),
+];
+
+/// Every `STATS` key, in the order the server emits them, with the name
+/// of the `METRICS` series that carries the same value.
+pub fn stats_series() -> impl Iterator<Item = (&'static str, &'static str)> {
+    ROWS.iter()
+        .filter_map(|Row(key, _, metric, ..)| key.map(|key| (key, *metric)))
+}
+
+impl Sample {
+    /// The `STATS` response line (without the trailing newline).
+    pub(crate) fn stats_line(&self) -> String {
+        let mut line = String::from("STATS");
+        for Row(key, _, _, value, _) in ROWS {
+            if let Some(key) = key {
+                line.push_str(&format!(" {key}={}", value(self)));
+            }
+        }
+        line
+    }
+
+    /// Appends every table row to a `METRICS` exposition.
+    pub(crate) fn render_into(&self, x: &mut Exposition) {
+        for Row(_, kind, metric, value, help) in ROWS {
+            match kind {
+                C => x.counter(metric, help, value(self)),
+                G => x.gauge(metric, help, value(self)),
+            }
+        }
+    }
+}
+
 /// The server's live metric handles, registered under canonical
 /// `pxv_<layer>_<name>` names. Reactor gauges are written from the poll
-/// loop; engine/cache lifetime counters are *sampled* into the rendered
-/// exposition at `METRICS` time (see `serve::render_metrics`) instead of
-/// being double-counted into live handles.
+/// loop; engine and server lifetime counters are *sampled* into the
+/// rendered exposition at `METRICS` time (see [`Sample::render_into`])
+/// instead of being double-counted into live handles.
 #[derive(Debug)]
 pub(crate) struct ServerMetrics {
     /// The registry the live handles below are registered in.
@@ -144,6 +280,7 @@ impl ServerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::time::Duration;
 
     #[test]
@@ -160,6 +297,19 @@ mod tests {
         // The registry sees the same samples through the attached handle.
         let text = metrics.registry.render();
         assert!(text.contains("pxv_server_request_us_count 100"));
+    }
+
+    #[test]
+    fn row_table_keys_and_names_are_unique_and_wire_safe() {
+        let keys: HashSet<_> = ROWS.iter().filter_map(|row| row.0).collect();
+        let metrics: HashSet<_> = ROWS.iter().map(|row| row.2).collect();
+        assert_eq!(keys.len(), stats_series().count(), "duplicate STATS key");
+        assert_eq!(metrics.len(), ROWS.len(), "duplicate metric name");
+        let wire_safe = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_';
+        assert!(keys.iter().all(|key| key.bytes().all(wire_safe)));
+        assert!(metrics
+            .iter()
+            .all(|m| pxv_obs::metrics::valid_metric_name(m)));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use pxv_pxml::PDocument;
 use pxv_server::client::{Client, ClientError};
 use pxv_server::protocol::ProtocolError;
 use pxv_server::serve::{serve, ServerConfig, ServerHandle};
+use pxv_server::stats::stats_series;
 use pxv_tpq::parse::parse_pattern;
 use pxv_tpq::TreePattern;
 
@@ -505,9 +506,10 @@ fn budget_and_advise_over_the_wire() {
     handle.shutdown();
 }
 
-/// The observability tentpole over the wire: `STATS` emits exactly the
-/// canonical key set, `METRICS` parses as Prometheus text (every sample
-/// line `name value`, counters monotone across scrapes), `PROFILE`
+/// The observability tentpole over the wire: `METRICS` parses as
+/// Prometheus text (every sample line `name value`, counters monotone
+/// across scrapes; the `STATS` key set is checked with the row table
+/// below), `PROFILE`
 /// returns a complete stage breakdown consistent with the plain answer,
 /// and `STATS SLOW` dumps the slow-query ring.
 #[test]
@@ -530,16 +532,6 @@ fn observability_verbs_over_the_wire() {
         c.view(&v.name, &v.pattern).unwrap();
     }
     c.warm(DOC).unwrap();
-
-    // STATS: exactly the canonical key set, each key exactly once.
-    let stats = c.stats().unwrap();
-    assert_eq!(stats.len(), pxv_obs::keys::STATS_KEYS.len());
-    for key in pxv_obs::keys::STATS_KEYS {
-        assert!(
-            stats.contains_key(key),
-            "STATS missing canonical key `{key}`"
-        );
-    }
 
     // METRICS: well-formed Prometheus text with every layer represented.
     let scrape = |c: &mut Client| {
@@ -641,6 +633,62 @@ fn observability_verbs_over_the_wire() {
 
     c.quit().unwrap();
     handle.shutdown();
+}
+
+/// `STATS` and `METRICS` render one row table, so every `STATS` key has
+/// a `METRICS` series carrying the same value — the lazy-restore counters
+/// included, made nonzero by a `RESTORE` and the faults it leaves. Only
+/// the STATS request itself lands between the two reads: it is counted
+/// in `requests` and sampled into the histogram the quantile rows read.
+#[test]
+fn every_stats_key_is_a_metrics_series_with_the_same_value() {
+    let snap = std::env::temp_dir().join(format!("pxv-e2e-rows-{}.pxv", std::process::id()));
+    let snap = snap.to_str().unwrap();
+    let handle = provisioned_server(2, 8);
+    let mut c = Client::connect(handle.addr()).unwrap();
+    c.save(snap).unwrap();
+    c.restore(snap).unwrap();
+    for q in &query_mix() {
+        c.query(DOC, q).unwrap();
+    }
+    let stats = c.stats().unwrap();
+    let text = c.metrics().unwrap();
+    let series: std::collections::HashMap<&str, u64> = text
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .map(|(name, value)| (name, value.parse().unwrap()))
+        .collect();
+    let quantile = |q: f64| {
+        let rank = (series["pxv_server_request_us_count"] as f64 * q).ceil() as u64;
+        let bucket = |le: u64| series[&*format!("pxv_server_request_us_bucket{{le=\"{le}\"}}")];
+        (1..64)
+            .map(|i| 1u64 << i)
+            .find(|&le| bucket(le) >= rank)
+            .unwrap()
+    };
+    assert!(stats["sections_faulted"] > 0 && stats["lazy_decode_ns"] > 0);
+    assert_eq!(
+        stats.len(),
+        stats_series().count(),
+        "exactly the table's keys"
+    );
+    for (key, metric) in stats_series() {
+        let want = match key {
+            "requests" => stats[key] + 1,
+            "p50us" => quantile(0.50),
+            "p99us" => quantile(0.99),
+            _ => stats[key],
+        };
+        assert_eq!(
+            series.get(metric),
+            Some(&want),
+            "STATS `{key}` vs `{metric}`"
+        );
+    }
+    c.quit().unwrap();
+    handle.shutdown();
+    std::fs::remove_file(snap).unwrap();
 }
 
 /// Causal tracing end to end: a `trace=true` query returns its own span

@@ -175,14 +175,17 @@ fn batch_answers_match_sequential_and_possible_worlds() {
     let opts = QueryOptions::new().fallback(Fallback::Direct);
 
     // Sequential ground truth on a fresh clone (cold catalog, like each
-    // batch run below starts from).
+    // batch run below starts from). Clones share the lifetime counters,
+    // so each run's work is the counter's delta across it.
+    let mats = || engine.stats().materializations;
     let (sequential, seq_mats) = {
         let fresh = engine.clone();
+        let before = mats();
         let answers: Vec<_> = batch
             .iter()
             .map(|(d, q)| fresh.answer_with(*d, q, &opts).expect("fallback on"))
             .collect();
-        (answers, fresh.stats().materializations)
+        (answers, mats() - before)
     };
     // Spot-check the sequential answers against the enumeration.
     let mut enumerated = 0usize;
@@ -197,6 +200,7 @@ fn batch_answers_match_sequential_and_possible_worlds() {
 
     for threads in [1usize, 2, 4, 8] {
         let fresh = engine.clone();
+        let before = mats();
         let results = fresh.answer_batch_with(&batch, &opts, threads);
         for (i, (got, want)) in results.iter().zip(&sequential).enumerate() {
             let got = got.as_ref().expect("batch answer");
@@ -209,7 +213,7 @@ fn batch_answers_match_sequential_and_possible_worlds() {
         // Single-flight: concurrency must not duplicate any
         // materialization a sequential run performs exactly once.
         assert_eq!(
-            fresh.stats().materializations,
+            mats() - before,
             seq_mats,
             "threads={threads}: batch materializes exactly what sequential does"
         );
