@@ -104,7 +104,7 @@
 
 #![deny(missing_docs)]
 
-use pxv_obs::profile::QueryProfile;
+use pxv_obs::profile::{ANSWER_SPAN, EVAL_SPAN, HIT_FIELD, PLAN_SPAN, PROBE_SPAN};
 use pxv_obs::ring::Ring;
 use pxv_pxml::{NodeId, PDocument};
 use pxv_rewrite::answer::{execute_tpi, plan_checked};
@@ -249,7 +249,6 @@ pub struct QueryOptions {
     interleaving_limit: usize,
     preference: PlanPreference,
     fallback: Fallback,
-    profile: bool,
     trace: bool,
 }
 
@@ -259,7 +258,6 @@ impl Default for QueryOptions {
             interleaving_limit: DEFAULT_INTERLEAVING_LIMIT,
             preference: PlanPreference::default(),
             fallback: Fallback::default(),
-            profile: false,
             trace: false,
         }
     }
@@ -291,15 +289,6 @@ impl QueryOptions {
         self
     }
 
-    /// Whether to time each answering stage and attach a
-    /// [`QueryProfile`] to the [`Answer`]. Off by default: the disabled
-    /// path reads no clocks and leaves answers bit-identical to an
-    /// uninstrumented run.
-    pub fn profile(mut self, profile: bool) -> QueryOptions {
-        self.profile = profile;
-        self
-    }
-
     /// The configured interleaving limit.
     pub fn get_interleaving_limit(&self) -> usize {
         self.interleaving_limit
@@ -315,18 +304,12 @@ impl QueryOptions {
         self.fallback
     }
 
-    /// Whether stage profiling is enabled.
-    pub fn get_profile(&self) -> bool {
-        self.profile
-    }
-
     /// Whether to capture the query's causal span tree and return it
     /// with the answer. The engine itself only carries the flag — span
     /// capture is driven by the ambient
     /// [`pxv_obs::trace::TraceContext`] the caller (typically the
-    /// server) installs around the query. Off by default, and like
-    /// profiling the disabled path reads no clocks and leaves answers
-    /// bit-identical.
+    /// server) installs around the query. Off by default; the disabled
+    /// path reads no clocks and leaves answers bit-identical.
     pub fn trace(mut self, trace: bool) -> QueryOptions {
         self.trace = trace;
         self
@@ -367,9 +350,6 @@ pub struct Answer {
     pub description: String,
     /// Execution counters.
     pub stats: QueryStats,
-    /// Stage timing breakdown, present iff the query ran with
-    /// [`QueryOptions::profile`]`(true)`.
-    pub profile: Option<QueryProfile>,
 }
 
 impl Answer {
@@ -385,9 +365,8 @@ impl Answer {
 /// [`Counters`] set that backs it.
 macro_rules! engine_counters {
     ($($(#[$doc:meta])* $field:ident,)*) => {
-        /// Lifetime counters for an [`Engine`] (monotone; never reset —
-        /// per-document cache counters that *are* reset by invalidation
-        /// live in [`DocStats`]). Clones of an engine, and so every epoch
+        /// Lifetime counters for an [`Engine`] (monotone; never reset).
+        /// Clones of an engine, and so every epoch
         /// an [`EpochEngine`] publishes, count into one shared set; an
         /// engine restored from a snapshot starts from zero.
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -458,39 +437,6 @@ engine_counters! {
     sections_faulted,
     /// Total nanoseconds spent decoding lazily faulted sections.
     lazy_decode_ns,
-}
-
-/// Per-document cache counters. Unlike [`EngineStats`] these describe the
-/// *current* cache generation: [`Engine::invalidate`] resets them along
-/// with the document's cached extensions, so a warm-looking document never
-/// carries counters from extensions that no longer exist.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DocStats {
-    /// Extensions materialized for this document since its last
-    /// invalidation (or registration).
-    pub materializations: u64,
-    /// Cache hits served for this document since its last invalidation.
-    pub cache_hits: u64,
-}
-
-#[derive(Debug, Default)]
-struct AtomicDocStats {
-    materializations: AtomicU64,
-    cache_hits: AtomicU64,
-}
-
-impl AtomicDocStats {
-    fn snapshot(&self) -> DocStats {
-        DocStats {
-            materializations: self.materializations.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.materializations.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-    }
 }
 
 /// One cache entry. The outer `Arc` lets a reader leave the shard lock
@@ -929,8 +875,8 @@ impl Catalog {
 
     /// Drops every cached extension of `doc` (call after replacing the
     /// document's content). Returns how many materialized extensions were
-    /// evicted. Prefer [`Engine::invalidate`], which also resets the
-    /// document's [`DocStats`] counters.
+    /// evicted. Prefer [`Engine::invalidate`], which also counts the
+    /// invalidation and bumps the catalog epoch.
     pub fn invalidate(&self, doc: DocId) -> usize {
         let mut evicted = 0;
         for shard in &self.shards {
@@ -1434,7 +1380,6 @@ pub struct Engine {
     /// Document contents by [`DocId`]; replaced only under `&mut self`.
     documents: Vec<Arc<PDocument>>,
     doc_names: HashMap<String, usize>,
-    doc_stats: Vec<AtomicDocStats>,
     catalog: Catalog,
     options: QueryOptions,
     plan_cache: PlanCache,
@@ -1449,7 +1394,6 @@ impl Default for Engine {
         Engine {
             documents: Vec::new(),
             doc_names: HashMap::new(),
-            doc_stats: Vec::new(),
             catalog: Catalog::default(),
             options: QueryOptions::default(),
             plan_cache: RwLock::new(HashMap::new()),
@@ -1466,17 +1410,6 @@ impl Clone for Engine {
         Engine {
             documents: self.documents.clone(),
             doc_names: self.doc_names.clone(),
-            doc_stats: self
-                .doc_stats
-                .iter()
-                .map(|s| {
-                    let snap = s.snapshot();
-                    AtomicDocStats {
-                        materializations: AtomicU64::new(snap.materializations),
-                        cache_hits: AtomicU64::new(snap.cache_hits),
-                    }
-                })
-                .collect(),
             catalog: self.catalog.clone(),
             options: self.options.clone(),
             plan_cache: RwLock::new(
@@ -1542,7 +1475,6 @@ impl Engine {
         let id = DocId(self.documents.len());
         self.doc_names.insert(name, id.0);
         self.documents.push(Arc::new(pdoc));
-        self.doc_stats.push(AtomicDocStats::default());
         Ok(id)
     }
 
@@ -1567,7 +1499,7 @@ impl Engine {
     }
 
     /// Replaces a document's content wholesale and invalidates its cached
-    /// extensions (resetting the document's [`DocStats`]). For localized
+    /// extensions. For localized
     /// changes prefer [`Engine::apply_edits`], which *keeps* the cache
     /// warm by maintaining extensions incrementally.
     pub fn replace_document(&mut self, id: DocId, pdoc: PDocument) -> Result<(), EngineError> {
@@ -1582,9 +1514,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Drops every cached extension of `doc` and resets the document's
-    /// [`DocStats`] counters, so post-invalidation queries report
-    /// re-materializations rather than stale cache hits. Returns how many
+    /// Drops every cached extension of `doc`, so post-invalidation queries
+    /// report re-materializations rather than stale cache hits. Returns how many
     /// materialized extensions were evicted. Takes `&self`: eviction runs
     /// on the catalog's interior-mutability write path, so a shared
     /// (served) engine can be invalidated without exclusive access.
@@ -1593,7 +1524,6 @@ impl Engine {
             return Err(EngineError::UnknownDocument(doc));
         }
         let evicted = self.catalog.invalidate(doc);
-        self.doc_stats[doc.0].reset();
         if evicted > 0 {
             self.counters()
                 .invalidations
@@ -1891,15 +1821,6 @@ impl Engine {
         Ok((report, ids))
     }
 
-    /// Current-generation cache counters for one document (reset by
-    /// [`Engine::invalidate`]).
-    pub fn doc_stats(&self, doc: DocId) -> Result<DocStats, EngineError> {
-        self.doc_stats
-            .get(doc.0)
-            .map(AtomicDocStats::snapshot)
-            .ok_or(EngineError::UnknownDocument(doc))
-    }
-
     /// Plans `q` over the catalog with the engine's default options,
     /// without executing anything.
     pub fn plan(&self, q: &TreePattern) -> Result<Plan, EngineError> {
@@ -2024,9 +1945,6 @@ impl Engine {
                     self.counters()
                         .materializations
                         .fetch_add(1, Ordering::Relaxed);
-                    self.doc_stats[doc.0]
-                        .materializations
-                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -2048,14 +1966,12 @@ impl Engine {
         options: &QueryOptions,
     ) -> Result<Answer, EngineError> {
         let pdoc = self.document(doc)?;
-        // When profiling is off (the default) every timing site below is
-        // a `None` branch — no clocks are read, so the answer path is
-        // bit-identical to an uninstrumented run. The spans are equally
-        // free: `Span::enter` is inert (no clock, no allocation) unless
-        // the process recorder or an ambient trace context is active.
-        let mut span_answer = pxv_obs::Span::enter("answer");
+        // The stage spans are free unless someone records: `Span::enter`
+        // is inert (no clock, no allocation) unless the process recorder
+        // or an ambient trace context is active. They are also the only
+        // stage timer — `QueryProfile::from_spans` folds them.
+        let mut span_answer = pxv_obs::Span::enter(ANSWER_SPAN);
         span_answer.record("doc", doc.0 as u64);
-        let t_total = options.profile.then(Instant::now);
         // Every answered query is workload evidence for the advisor —
         // recorded before planning so unanswerable (fallback) queries
         // count too; those are exactly the ones a new view could cover.
@@ -2063,69 +1979,34 @@ impl Engine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .record(doc.0, q, 1);
-        let t_plan = t_total.map(|_| Instant::now());
         let planned = {
-            let _span = pxv_obs::Span::enter("plan");
+            let _span = pxv_obs::Span::enter(PLAN_SPAN);
             self.cached_plan(q, options)
         };
-        let plan_nanos = t_plan.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let plan = match &*planned {
-            Ok(plan) => plan.clone(),
-            Err(e) => {
-                return match options.fallback {
-                    Fallback::Forbid => Err(EngineError::Plan(e.clone())),
-                    Fallback::Direct => {
-                        let t_eval = t_total.map(|_| Instant::now());
-                        let _span = pxv_obs::Span::enter("eval");
-                        let mut answer = self.direct_answer(
-                            doc,
-                            q,
-                            format!("direct evaluation (fallback: {e})"),
-                        );
-                        if let Some(start) = t_total {
-                            answer.profile = Some(QueryProfile {
-                                plan_nanos,
-                                eval_nanos: t_eval.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                                total_nanos: start.elapsed().as_nanos() as u64,
-                                cache_bytes: self.catalog.cache_bytes(),
-                                epoch: self.catalog_epoch(),
-                                ..QueryProfile::default()
-                            });
-                        }
-                        Ok(answer)
-                    }
-                }
+        let plan = match (&*planned, options.fallback) {
+            (Ok(plan), _) => plan.clone(),
+            (Err(e), Fallback::Forbid) => return Err(EngineError::Plan(e.clone())),
+            (Err(e), Fallback::Direct) => {
+                let _span = pxv_obs::Span::enter(EVAL_SPAN);
+                let description = format!("direct evaluation (fallback: {e})");
+                return Ok(self.direct_answer(doc, q, description));
             }
         };
         // Fetch exactly the extensions the plan references.
         let referenced = plan.referenced_views();
         let mut hits = 0;
         let mut mats = 0;
-        let mut probe_nanos = 0u64;
-        let mut materialize_nanos = 0u64;
         let mut slots: HashMap<usize, Arc<ProbExtension>> = HashMap::new();
         for &i in &referenced {
-            let mut span_probe = pxv_obs::Span::enter("probe");
+            let mut span_probe = pxv_obs::Span::enter(PROBE_SPAN);
             span_probe.record("view", i as u64);
-            let t_ext = t_total.map(|_| Instant::now());
             let (ext, probe) = self.catalog.extension(doc.0, &pdoc, i)?;
-            span_probe.record("hit", (probe != Probe::Materialized) as u64);
-            span_probe.record("fault", (probe == Probe::Faulted) as u64);
-            if let Some(t) = t_ext {
-                let nanos = t.elapsed().as_nanos() as u64;
-                // A hit is a pure cache probe (a lazy fault is billed the
-                // same way — its decode time is tracked by the catalog's
-                // own counter); a miss spent its time materializing
-                // (probe cost is noise within it).
-                if probe == Probe::Materialized {
-                    materialize_nanos += nanos;
-                } else {
-                    probe_nanos += nanos;
-                }
-            }
             // A fault counts as a cache hit: the extension was already
             // resident in the snapshot, not rebuilt from the document, so
             // `extensions_touched == cache_hits + materializations` holds.
+            // (Its decode time is tracked by the catalog's own counter.)
+            span_probe.record(HIT_FIELD, (probe != Probe::Materialized) as u64);
+            span_probe.record("fault", (probe == Probe::Faulted) as u64);
             if probe == Probe::Materialized {
                 mats += 1;
             } else {
@@ -2133,8 +2014,7 @@ impl Engine {
             }
             slots.insert(i, ext);
         }
-        let t_eval = t_total.map(|_| Instant::now());
-        let mut span_eval = pxv_obs::Span::enter("eval");
+        let mut span_eval = pxv_obs::Span::enter(EVAL_SPAN);
         let (nodes, candidates) = match &plan {
             Plan::Tp(rw) => {
                 let ext = &slots[&rw.view_index];
@@ -2147,7 +2027,6 @@ impl Engine {
         };
         span_eval.record("candidates", candidates as u64);
         drop(span_eval);
-        let eval_nanos = t_eval.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let counters = self.counters();
         counters.queries.fetch_add(1, Ordering::Relaxed);
         match &plan {
@@ -2160,12 +2039,6 @@ impl Engine {
         counters
             .cache_hits
             .fetch_add(hits as u64, Ordering::Relaxed);
-        self.doc_stats[doc.0]
-            .materializations
-            .fetch_add(mats as u64, Ordering::Relaxed);
-        self.doc_stats[doc.0]
-            .cache_hits
-            .fetch_add(hits as u64, Ordering::Relaxed);
         Ok(Answer {
             nodes,
             description: plan.describe(&self.catalog.views),
@@ -2176,16 +2049,6 @@ impl Engine {
                 materializations: mats,
                 candidates,
             },
-            profile: t_total.map(|start| QueryProfile {
-                plan_nanos,
-                probe_nanos,
-                materialize_nanos,
-                eval_nanos,
-                total_nanos: start.elapsed().as_nanos() as u64,
-                cache_bytes: self.catalog.cache_bytes(),
-                epoch: self.catalog_epoch(),
-                ..QueryProfile::default()
-            }),
         })
     }
 
@@ -2517,7 +2380,6 @@ impl Engine {
             nodes,
             plan: None,
             description,
-            profile: None,
         }
     }
 }
@@ -2679,10 +2541,6 @@ mod tests {
             e.invalidate(bogus).err(),
             Some(EngineError::UnknownDocument(_))
         ));
-        assert!(matches!(
-            e.doc_stats(bogus).err(),
-            Some(EngineError::UnknownDocument(_))
-        ));
         // A mux with mass > 1 fails validation.
         let mut bad = PDocument::new(pxv_pxml::Label::new("a"));
         let m = bad.add_dist(bad.root(), pxv_pxml::PKind::Mux, 1.0);
@@ -2705,9 +2563,9 @@ mod tests {
         assert_eq!(a.stats.materializations, 0);
         assert_eq!(a.stats.cache_hits, a.stats.extensions_touched);
         assert_eq!(e.catalog().cached_extensions(doc), 2);
-        let ds = e.doc_stats(doc).unwrap();
-        assert_eq!(ds.materializations, 2);
-        assert_eq!(ds.cache_hits, 1);
+        let stats = e.stats();
+        assert_eq!(stats.materializations, 2);
+        assert_eq!(stats.cache_hits, 1);
     }
 
     #[test]

@@ -27,15 +27,17 @@
 //! - [`trace`] — request-scoped causal tracing: [`trace::TraceContext`]
 //!   names a request, propagates across worker handoffs by explicit
 //!   capture/install, optionally mirrors the request's spans into a
-//!   bounded [`trace::FlightRecorder`], and [`trace::build_trees`]
+//!   bounded [`trace::FlightRecorder`] ([`trace::in_flight`] runs one
+//!   request that way and returns its spans), and [`trace::build_trees`]
 //!   reassembles drained spans into per-request trees.
 //! - [`export`] — Chrome `trace_event` JSON and plain-text renderings
 //!   of drained spans, plus a std-only JSON parser/checker shared by
 //!   tests, the CI trace-smoke job, and the `bench-diff` gate.
-//! - [`profile`] — the per-query flight record: a stage breakdown
-//!   (parse / plan / cache-probe / materialize / eval / serialize) that
-//!   `pxv_engine::QueryOptions::profile(true)` makes an `Answer` carry,
-//!   and the server's `PROFILE` verb serializes.
+//! - [`profile`] — the per-query stage breakdown (parse / plan /
+//!   cache-probe / materialize / eval / serialize), folded from one
+//!   request's flight records by [`profile::QueryProfile::from_spans`],
+//!   and the stage span names the engine and server enter. The server's
+//!   `PROFILE` verb serializes it.
 //! - [`slow`] — a thresholded slow-request log over a bounded ring,
 //!   dumped by the server's `STATS SLOW` verb.
 //! - [`keys`] — the canonical `PROFILE` wire-key list, so the server, the

@@ -15,9 +15,10 @@
 //! has its own lock touched only by its owner and by
 //! [`Recorder::drain`], which merges all rings into one timeline.
 //!
-//! Per-connection (rather than process-wide) visibility is served by the
-//! query-stage profile ([`crate::profile::QueryProfile`]), which rides on
-//! the `Answer` itself; the recorder is the coarse, process-wide switch.
+//! Only spans entered while the recorder is on land in the rings. A span
+//! recorded just for an installed context goes to that context's flight
+//! recorder alone, so per-request capture (`PROFILE`, `trace=true`)
+//! neither fills the rings nor counts toward [`Recorder::dropped`].
 
 use crate::ring::Ring;
 use crate::trace;
@@ -168,6 +169,9 @@ pub struct Span {
     start: Option<Instant>,
     fields: Vec<(&'static str, u64)>,
     open: Option<trace::OpenSpan>,
+    /// Whether the recorder was on at [`Span::enter`]: only then does
+    /// the record go to this thread's ring.
+    global: bool,
 }
 
 impl Span {
@@ -178,14 +182,15 @@ impl Span {
     /// recorder is off), one thread-local read is added — still no
     /// clock.
     pub fn enter(name: &'static str) -> Span {
-        let globally = Recorder::is_enabled();
-        let active = globally || (trace::any_context_active() && trace::has_ambient());
+        let global = Recorder::is_enabled();
+        let active = global || (trace::any_context_active() && trace::has_ambient());
         if !active {
             return Span {
                 name,
                 start: None,
                 fields: Vec::new(),
                 open: None,
+                global,
             };
         }
         let open = trace::open_span();
@@ -194,6 +199,7 @@ impl Span {
             start: Some(Instant::now()),
             fields: Vec::new(),
             open: Some(open),
+            global,
         }
     }
 
@@ -226,6 +232,12 @@ impl Drop for Span {
             span_id: open.span_id,
             parent_id: open.parent_id,
         };
+        if !self.global {
+            if let Some(flight) = &open.flight {
+                flight.push(record);
+            }
+            return;
+        }
         if let Some(flight) = &open.flight {
             flight.push(record.clone());
         }

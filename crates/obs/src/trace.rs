@@ -147,6 +147,28 @@ impl TraceContext {
     }
 }
 
+/// Runs `f` with a [`FlightRecorder`] capturing its spans and returns its
+/// result with every span `f` opened, by start time — whether or not the
+/// process recorder is on. `f` runs under a fresh context, unless the
+/// ambient one already carries a flight (a server request traced while
+/// the recorder is on): then `f` joins that trace, so the request's own
+/// tree stays whole.
+pub fn in_flight<T>(f: impl FnOnce() -> T) -> (T, Vec<SpanRecord>) {
+    let first_span = NEXT_SPAN_ID.load(Ordering::Relaxed);
+    let (out, flight) = match TraceContext::current().and_then(|c| c.flight) {
+        Some(flight) => (f(), flight),
+        None => {
+            let ctx = TraceContext::with_flight();
+            let flight = ctx.flight().cloned().expect("with_flight carries one");
+            let _guard = ctx.install();
+            (f(), flight)
+        }
+    };
+    let mut records = flight.records();
+    records.retain(|r| r.span_id >= first_span);
+    (out, records)
+}
+
 /// RAII guard for an installed [`TraceContext`]; dropping it restores
 /// whatever was ambient before.
 #[must_use = "dropping the guard immediately uninstalls the context"]
@@ -414,8 +436,41 @@ mod tests {
             );
         }
         assert_eq!(flight.records().len(), 1);
-        // The span also landed in the thread ring; clean up.
-        let _ = Recorder::drain();
+        // Spans recorded only for a flight stay out of the process rings:
+        // many flights leave nothing to drain and drop nothing (the
+        // `spans_dropped` gauge).
+        let dropped_before = Recorder::dropped();
+        for _ in 0..300 {
+            let ((), records) = in_flight(|| {
+                let _s = Span::enter("request");
+            });
+            assert_eq!(records.len(), 1, "the flight captured its span");
+        }
+        assert!(Recorder::drain().is_empty(), "no flight span leaked");
+        assert_eq!(Recorder::dropped(), dropped_before);
+    }
+
+    /// Under an ambient flight, `in_flight` joins the request's trace:
+    /// it returns only the spans it opened, and the outer tree keeps them.
+    #[test]
+    fn in_flight_joins_an_ambient_flight() {
+        let _guard = serial();
+        let ctx = TraceContext::with_flight();
+        let outer = ctx.flight().cloned().unwrap();
+        let _g = ctx.install();
+        let root_id = {
+            let _root = Span::enter("request");
+            let ((), records) = in_flight(|| {
+                let _s = Span::enter("answer");
+            });
+            assert_eq!(records.len(), 1);
+            assert_eq!(records[0].name, "answer");
+            records[0].parent_id
+        };
+        let trees = build_trees(&outer.records());
+        assert_eq!(trees.len(), 1, "one trace");
+        assert_eq!(trees[0].roots[0].record.span_id, root_id);
+        assert_eq!(trees[0].roots[0].children[0].record.name, "answer");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //!   = 0.9
 //! ```
 
+use crate::fr_tp::{derive, Derivation};
 use crate::system::SqvSystem;
 use crate::tp_rewrite::TpRewriting;
 use crate::tpi_rewrite::VirtualView;
@@ -154,68 +155,41 @@ impl fmt::Display for Explanation {
     }
 }
 
-/// Explains a TP-rewriting's probability at `n` (recomputing the terms the
-/// way [`crate::fr_tp::fr_tp`] does).
+/// Explains a TP-rewriting's probability at `n` from the same derivation
+/// [`crate::fr_tp::fr_tp`] evaluates, so the explained value is
+/// bit-identical to `fr_tp`'s.
 pub fn explain_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> Explanation {
-    let anc = ext.results_containing(n);
-    if anc.is_empty() {
-        return Explanation::NotAnAnswer { node: n };
-    }
-    let v = &ext.view.pattern;
-    let v_out_preds = v.suffix(v.mb_len());
-    if anc.len() == 1 {
-        let i = anc[0];
-        let sub = ext.result_subtree(i);
-        let beta = ext.results[i].prob;
-        let mut comp_pinned = rw.compensation.clone();
-        comp_pinned.add_child(
-            rw.compensation.output(),
-            pxv_tpq::Axis::Child,
-            crate::view::id_label(n),
-        );
-        let numerator = pxv_peval::dp::boolean_probability(&sub, &comp_pinned);
-        let denominator = pxv_peval::dp::boolean_probability(&sub, &v_out_preds);
-        let result = if denominator > 0.0 {
-            beta * numerator / denominator
-        } else {
-            0.0
-        };
-        return Explanation::Restricted {
+    let (result, derivation) = derive(rw, ext, n);
+    let view = ext.view.name.clone();
+    match derivation {
+        Derivation::NotAnAnswer => Explanation::NotAnAnswer { node: n },
+        Derivation::Theorem1 {
+            i,
+            beta,
+            numerator,
+            denominator,
+        } => Explanation::Restricted {
             node: n,
-            view: ext.view.name.clone(),
+            view,
             ancestor: ext.results[i].orig,
             beta,
             numerator,
             denominator,
             result,
-        };
-    }
-    // Multiple ancestors: report the subset terms by re-running fr on each
-    // singleton/subset through the public function (values only).
-    let full = crate::fr_tp::fr_tp(rw, ext, n);
-    let mut terms = Vec::new();
-    let a = anc.len();
-    for mask in 1u32..(1 << a) {
-        let subset: Vec<usize> = (0..a)
-            .filter(|&b| mask & (1 << b) != 0)
-            .map(|b| anc[b])
-            .collect();
-        let ancestors: Vec<NodeId> = subset.iter().map(|&i| ext.results[i].orig).collect();
-        let sign = if subset.len() % 2 == 1 { 1.0 } else { -1.0 };
-        // Recompute the subset's joint probability through the restricted
-        // machinery: Pr(⋂ e_i) as in fr_tp's inner loop.
-        let value = crate::fr_tp::joint_event_probability_public(rw, ext, n, &subset);
-        terms.push(IeTerm {
-            ancestors,
-            sign,
-            value,
-        });
-    }
-    Explanation::InclusionExclusion {
-        node: n,
-        view: ext.view.name.clone(),
-        terms,
-        result: full,
+        },
+        Derivation::InclusionExclusion(terms) => Explanation::InclusionExclusion {
+            node: n,
+            view,
+            terms: terms
+                .into_iter()
+                .map(|(subset, sign, value)| IeTerm {
+                    ancestors: subset.iter().map(|&i| ext.results[i].orig).collect(),
+                    sign,
+                    value,
+                })
+                .collect(),
+            result,
+        },
     }
 }
 
@@ -249,6 +223,7 @@ pub fn explain_system(sys: &SqvSystem, views: &[VirtualView], n: NodeId) -> Expl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fr_tp::fr_tp;
     use crate::tp_rewrite::tp_rewrite;
     use crate::view::View;
     use pxv_pxml::examples_paper::fig2_pper;
@@ -266,6 +241,10 @@ mod tests {
         let ext = ProbExtension::materialize(&pper, &view);
         let ex = explain_tp(&rs[0], &ext, NodeId(5));
         assert!((ex.value() - 0.9).abs() < 1e-9);
+        assert_eq!(
+            ex.value().to_bits(),
+            fr_tp(&rs[0], &ext, NodeId(5)).to_bits()
+        );
         let text = ex.to_string();
         assert!(text.contains("Theorem 1"), "{text}");
         assert!(text.contains("v2BON"), "{text}");
@@ -284,6 +263,10 @@ mod tests {
         let rs = tp_rewrite(&q, std::slice::from_ref(&view));
         let ext = ProbExtension::materialize(&pdoc, &view);
         let ex = explain_tp(&rs[0], &ext, NodeId(5));
+        assert_eq!(
+            ex.value().to_bits(),
+            fr_tp(&rs[0], &ext, NodeId(5)).to_bits()
+        );
         match &ex {
             Explanation::InclusionExclusion { terms, result, .. } => {
                 let sum: f64 = terms.iter().map(|t| t.sign * t.value).sum();

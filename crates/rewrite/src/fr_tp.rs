@@ -49,15 +49,31 @@ fn descend_plan(root_label: pxv_pxml::Label, sub: &TreePattern) -> TreePattern {
     q
 }
 
-/// `fr(n)` for an accepted TP-rewriting: `Pr(n ∈ q(P))` computed from the
-/// view extension alone.
-pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
+/// How `fr(n)` is assembled from the extension (see [`derive`]).
+pub(crate) enum Derivation {
+    /// `n` has no selected ancestor: `fr(n) = 0`.
+    NotAnAnswer,
+    /// Theorem 1 at the unique selected ancestor, result `i`.
+    Theorem1 {
+        i: usize,
+        beta: f64,
+        numerator: f64,
+        denominator: f64,
+    },
+    /// Eq. 1: `(subset, sign, Pr(⋂_{i ∈ S} e_i))` per nonempty subset `S`
+    /// of the selected ancestors (result indices, shallowest first).
+    InclusionExclusion(Vec<(Vec<usize>, f64, f64)>),
+}
+
+/// `fr(n)` and its derivation: the one computation behind both [`fr_tp`]
+/// and [`crate::explain::explain_tp`].
+pub(crate) fn derive(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> (f64, Derivation) {
     let v = &ext.view.pattern;
     // Ancestors of n selected by v = results whose subtree contains n,
     // shallowest first.
     let anc = ext.results_containing(n);
     if anc.is_empty() {
-        return 0.0;
+        return (0.0, Derivation::NotAnAnswer);
     }
     // v_(k): the view's output node with its predicates (lm[Qm]).
     let v_out_preds = v.suffix(v.mb_len());
@@ -70,29 +86,45 @@ pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
         let i = anc[0];
         let sub = ext.result_subtree(i);
         let beta = ext.results[i].prob;
-        let num = pxv_peval::dp::boolean_probability(&sub, &comp_pinned);
-        let den = pxv_peval::dp::boolean_probability(&sub, &v_out_preds);
-        if den <= 0.0 {
-            return 0.0;
-        }
-        return beta * num / den;
+        let numerator = pxv_peval::dp::boolean_probability(&sub, &comp_pinned);
+        let denominator = pxv_peval::dp::boolean_probability(&sub, &v_out_preds);
+        let value = if denominator > 0.0 {
+            beta * numerator / denominator
+        } else {
+            0.0
+        };
+        let derivation = Derivation::Theorem1 {
+            i,
+            beta,
+            numerator,
+            denominator,
+        };
+        return (value, derivation);
     }
 
     // General case: inclusion-exclusion over the events
     //   e_i = [n_i ∈ v′(P) ∧ n ∈ q_(k)(P^{n_i})].
     let t = v.last_token();
-    let m = t.mb_len();
     let a = anc.len();
     let mut total = 0.0;
+    let mut terms = Vec::new();
     for mask in 1u32..(1 << a) {
         let subset: Vec<usize> = (0..a)
             .filter(|&b| mask & (1 << b) != 0)
             .map(|b| anc[b])
             .collect();
         let sign = if subset.len() % 2 == 1 { 1.0 } else { -1.0 };
-        total += sign * joint_event_probability(ext, &subset, &t, m, &v_out_preds, &comp_pinned);
+        let value = joint_event_probability(ext, &subset, &t, &v_out_preds, &comp_pinned);
+        total += sign * value;
+        terms.push((subset, sign, value));
     }
-    total.clamp(0.0, 1.0)
+    (total.clamp(0.0, 1.0), Derivation::InclusionExclusion(terms))
+}
+
+/// `fr(n)` for an accepted TP-rewriting: `Pr(n ∈ q(P))` computed from the
+/// view extension alone.
+pub fn fr_tp(rw: &TpRewriting, ext: &ProbExtension, n: NodeId) -> f64 {
+    derive(rw, ext, n).0
 }
 
 /// `Pr(⋂_{i ∈ S} e_i)` for ancestors `S` ordered shallowest-first, computed
@@ -101,10 +133,10 @@ fn joint_event_probability(
     ext: &ProbExtension,
     subset: &[usize],
     token: &TreePattern,
-    m: usize,
     v_out_preds: &TreePattern,
     comp_pinned: &TreePattern,
 ) -> f64 {
+    let m = token.mb_len();
     let top = subset[0];
     let sub = ext.result_subtree(top);
     let beta = ext.results[top].prob;
@@ -143,23 +175,6 @@ fn joint_event_probability(
     }
     let joint = pxv_peval::dp::boolean_conjunction_probability(&sub, &patterns);
     beta / den * joint
-}
-
-/// Joint-event probability `Pr(⋂_{i ∈ S} e_i)` exposed for the
-/// why-provenance renderer ([`crate::explain`]). `subset` holds result
-/// indices ordered shallowest-first.
-pub fn joint_event_probability_public(
-    rw: &TpRewriting,
-    ext: &ProbExtension,
-    n: NodeId,
-    subset: &[usize],
-) -> f64 {
-    let v = &ext.view.pattern;
-    let t = v.last_token();
-    let m = t.mb_len();
-    let v_out_preds = v.suffix(v.mb_len());
-    let comp_pinned = mark_output(&rw.compensation, n);
-    joint_event_probability(ext, subset, &t, m, &v_out_preds, &comp_pinned)
 }
 
 /// Evaluates the whole plan: every original node retrievable from the

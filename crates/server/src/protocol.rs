@@ -58,12 +58,12 @@
 //!
 //! `QUERY` options are trailing `key=value` tokens: `limit=<n>`
 //! (interleaving limit), `pref=prefer-tp|prefer-tpi|tp|tpi` (plan
-//! preference), `fallback=forbid|direct`, `profile=true|false` (stage
-//! timing; `PROFILE` is sugar for a profiled `QUERY` whose response
-//! leads with the stage breakdown instead of the node list), and
-//! `trace=true|false` (capture the query's causal span tree; the
-//! `ANSWER` block is followed by a `TRACE <n>` frame of `n` rendered
-//! tree lines — the answer itself stays bit-identical).
+//! preference), `fallback=forbid|direct`, and `trace=true|false`
+//! (capture the query's causal span tree; the `ANSWER` block is followed
+//! by a `TRACE <n>` frame of `n` rendered tree lines — the answer itself
+//! stays bit-identical). Any other key is `ERR bad-option`. `PROFILE`
+//! takes the same options and answers with the stage breakdown, folded
+//! from the request's own span tree, instead of the node list.
 //!
 //! `TRACE ON|OFF` toggles the process-wide span recorder; `TRACE DUMP`
 //! drains it and returns every span since the last dump as Chrome
@@ -275,14 +275,14 @@ pub enum Request {
     StatsSlow,
     /// Prometheus text exposition of every registered metric.
     Metrics,
-    /// Answer one query with stage profiling forced on; the response
-    /// leads with the stage breakdown.
+    /// Answer one query under a flight recorder; the response is the
+    /// stage breakdown folded from its spans.
     Profile {
         /// Document name.
         doc: String,
         /// The tree-pattern query.
         query: TreePattern,
-        /// Per-request options (profiling already enabled).
+        /// Per-request options.
         options: QueryOptions,
     },
     /// Drop a document's cached extensions.
@@ -353,16 +353,16 @@ fn split_token(line: &str) -> (&str, &str) {
 /// Parses trailing `key=value` option tokens off a query body; returns
 /// the remaining query text **verbatim** (never rebuilt from tokens —
 /// whitespace inside quoted labels is significant) and the options.
-/// Only *trailing* tokens with a known key, no quote character, and an
-/// even number of quotes before them are consumed, so quoted labels
-/// that merely look like options (`a/'p limit=3'`) stay part of the
-/// query. With duplicate keys the rightmost token wins.
+/// Only *trailing* tokens with an `=`, no quote character, and an even
+/// number of quotes before them are options, so quoted labels that
+/// merely look like options (`a/'p limit=3'`) stay part of the query;
+/// unknown keys are bad options (no unquoted label holds `=`). With
+/// duplicate keys the rightmost token wins.
 fn split_query_options(body: &str) -> Result<(String, QueryOptions), ProtocolError> {
     let mut rest = body.trim();
     let mut limit = None;
     let mut preference = None;
     let mut fallback = None;
-    let mut profile = None;
     let mut trace = None;
     while let Some(cut) = rest.rfind(char::is_whitespace) {
         let token = rest[cut..].trim_start();
@@ -411,18 +411,6 @@ fn split_query_options(body: &str) -> Result<(String, QueryOptions), ProtocolErr
                 };
                 fallback.get_or_insert(parsed);
             }
-            "profile" => {
-                let parsed = match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(ProtocolError::BadOption(format!(
-                            "profile=`{other}` (want true|false)"
-                        )))
-                    }
-                };
-                profile.get_or_insert(parsed);
-            }
             "trace" => {
                 let parsed = match value {
                     "true" => true,
@@ -435,7 +423,11 @@ fn split_query_options(body: &str) -> Result<(String, QueryOptions), ProtocolErr
                 };
                 trace.get_or_insert(parsed);
             }
-            _ => break,
+            other => {
+                return Err(ProtocolError::BadOption(format!(
+                    "unknown option `{other}` (want limit|pref|fallback|trace)"
+                )))
+            }
         }
         rest = prefix;
     }
@@ -444,7 +436,6 @@ fn split_query_options(body: &str) -> Result<(String, QueryOptions), ProtocolErr
         .interleaving_limit(limit.unwrap_or(defaults.get_interleaving_limit()))
         .plan_preference(preference.unwrap_or_default())
         .fallback(fallback.unwrap_or_default())
-        .profile(profile.unwrap_or(false))
         .trace(trace.unwrap_or(false));
     Ok((rest.to_string(), options))
 }
@@ -470,9 +461,6 @@ pub fn options_to_tokens(options: &QueryOptions) -> String {
             Fallback::Forbid => " fallback=forbid",
             Fallback::Direct => " fallback=direct",
         });
-    }
-    if options.get_profile() != defaults.get_profile() {
-        out.push_str(" profile=true");
     }
     if options.get_trace() != defaults.get_trace() {
         out.push_str(" trace=true");
@@ -538,7 +526,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         },
         "QUERY" => parse_query_body(
             rest,
-            "QUERY <doc> <tpq-text> [limit=|pref=|fallback=|profile=|trace=]",
+            "QUERY <doc> <tpq-text> [limit=|pref=|fallback=|trace=]",
         ),
         "PROFILE" => {
             match parse_query_body(rest, "PROFILE <doc> <tpq-text> [limit=|pref=|fallback=]")? {
@@ -549,7 +537,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
                 } => Ok(Request::Profile {
                     doc,
                     query,
-                    options: options.profile(true),
+                    options,
                 }),
                 _ => unreachable!("parse_query_body yields Query"),
             }
@@ -746,8 +734,8 @@ pub struct WireProfile {
 }
 
 /// Serializes a profiled answer as the one-line `PROFILE` response.
-/// `profile` is the completed record (engine stages plus the server's
-/// parse/serialize contributions); times travel as microseconds.
+/// `profile` is the completed record (folded stage spans plus the engine's
+/// cache bytes and epoch); times travel as microseconds.
 pub fn write_profile<W: Write>(
     w: &mut W,
     answer: &Answer,
@@ -1161,34 +1149,26 @@ mod tests {
             Ok(Request::StatsSlow)
         ));
         assert!(matches!(parse_request("STATS"), Ok(Request::Stats)));
-        match parse_request("PROFILE hr IT-personnel//person[name]").unwrap() {
+        match parse_request("PROFILE hr IT-personnel//person[name] limit=2").unwrap() {
             Request::Profile { doc, options, .. } => {
                 assert_eq!(doc, "hr");
-                assert!(options.get_profile());
-            }
-            other => panic!("{other:?}"),
-        }
-        // `profile=` is an ordinary query option and round-trips.
-        match parse_request("QUERY hr r//a profile=true limit=2").unwrap() {
-            Request::Query { options, .. } => {
-                assert!(options.get_profile());
                 assert_eq!(options.get_interleaving_limit(), 2);
-                let tokens = options_to_tokens(&options);
-                assert!(tokens.contains("profile=true"), "{tokens}");
             }
             other => panic!("{other:?}"),
         }
-        match parse_request("QUERY hr r//a profile=false").unwrap() {
-            Request::Query { options, .. } => {
-                assert!(!options.get_profile());
-                assert_eq!(options_to_tokens(&options), "");
-            }
-            other => panic!("{other:?}"),
+        // Profiling is the PROFILE verb, not a query option: `profile=`
+        // is an unknown key like any other.
+        for line in [
+            "QUERY hr r//a profile=true",
+            "QUERY hr r//a profile=false limit=2",
+            "PROFILE hr r//a profile=true",
+            "QUERY hr r//a frob=1",
+        ] {
+            assert!(
+                matches!(parse_request(line), Err(ProtocolError::BadOption(_))),
+                "{line}"
+            );
         }
-        assert!(matches!(
-            parse_request("QUERY hr r//a profile=maybe"),
-            Err(ProtocolError::BadOption(_))
-        ));
         assert!(matches!(
             parse_request("PROFILE hr"),
             Err(ProtocolError::Usage(_))
@@ -1261,7 +1241,6 @@ mod tests {
             plan: None,
             description: "TP plan via view `bs` (u=0)".into(),
             stats: QueryStats::default(),
-            profile: None,
         };
         let profile = QueryProfile {
             parse_nanos: 12_000,
@@ -1323,7 +1302,6 @@ mod tests {
                 materializations: 0,
                 candidates: 4,
             },
-            profile: None,
         };
         let mut wire = Vec::new();
         write_answer(&mut wire, &answer).unwrap();

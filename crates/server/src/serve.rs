@@ -45,8 +45,8 @@ use crate::protocol::{
 };
 use crate::stats::{Sample, ServerMetrics, ServerStats, ServerStatsSnapshot};
 use pxv_engine::{DocId, Engine, EngineError, EpochEngine};
-use pxv_obs::slow::SlowLog;
-use pxv_obs::Exposition;
+use pxv_obs::profile::{QueryProfile, PARSE_SPAN, SERIALIZE_SPAN};
+use pxv_obs::{slow::SlowLog, trace::in_flight, Exposition};
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -778,43 +778,39 @@ fn handle_unit(unit: &[String], shared: &Shared, out: &mut Vec<u8>) -> bool {
             .update(|_| panic!("__PANIC: injected mid-update fault"));
         unreachable!("the injected panic unwinds past this point");
     }
-    // Only `PROFILE` pays for parse timing — every other request keeps
-    // its zero-clock-read fast path.
+    // `PROFILE` is timed from its parse on, so it takes its own path
+    // (the verb test is `parse_request`'s first-token split). No other
+    // request reads a clock unless a trace context records it.
     let profiling = line
-        .trim_start()
-        .get(..8)
-        .is_some_and(|p| p.eq_ignore_ascii_case("PROFILE "));
-    let t_parse = profiling.then(Instant::now);
-    let request = match parse_request(line) {
-        Ok(request) => request,
-        Err(e) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            let _ = writeln!(out, "{}", e.to_line());
-            return false;
+        .split_whitespace()
+        .next()
+        .is_some_and(|verb| verb.eq_ignore_ascii_case("PROFILE"));
+    let result = if profiling {
+        profile(line, shared, out)
+    } else {
+        match parse_request(line) {
+            Ok(Request::Quit) => {
+                let _ = writeln!(out, "OK bye");
+                return true;
+            }
+            Ok(Request::Ping) => {
+                let _ = writeln!(out, "PONG");
+                return false;
+            }
+            Ok(Request::Shutdown) => {
+                // Acknowledge, then raise the flag: the completion wake
+                // pulls the reactor out of `poll` to drain every session.
+                let _ = writeln!(out, "OK shutting-down");
+                shared.shutdown.store(true, Ordering::SeqCst);
+                return true;
+            }
+            Ok(Request::Batch { count }) => {
+                handle_batch(count, &unit[1..], shared, out);
+                return false;
+            }
+            Ok(other) => execute(other, shared, out),
+            Err(e) => Err(e),
         }
-    };
-    let parse_nanos = t_parse.map_or(0, |t| t.elapsed().as_nanos() as u64);
-    let result = match request {
-        Request::Quit => {
-            let _ = writeln!(out, "OK bye");
-            return true;
-        }
-        Request::Ping => {
-            let _ = writeln!(out, "PONG");
-            return false;
-        }
-        Request::Shutdown => {
-            // Acknowledge, then raise the flag; the completion wake pulls
-            // the reactor out of `poll`, which drains every session.
-            let _ = writeln!(out, "OK shutting-down");
-            shared.shutdown.store(true, Ordering::SeqCst);
-            return true;
-        }
-        Request::Batch { count } => {
-            handle_batch(count, &unit[1..], shared, out);
-            return false;
-        }
-        other => execute(other, parse_nanos, shared, out),
     };
     if let Err(e) = result {
         shared.stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -837,21 +833,14 @@ fn find_doc(engine: &Engine, name: &str) -> Result<DocId, ProtocolError> {
 }
 
 /// Executes one non-batch request and writes its success response;
-/// errors bubble up to be written as `ERR` lines. `parse_nanos` is the
-/// request-line parse time, measured by the caller only for `PROFILE`
-/// (zero otherwise).
+/// errors bubble up to be written as `ERR` lines.
 ///
 /// The epoch discipline: reads resolve against [`EpochEngine::read`]
 /// and never block; catalog mutations go through [`EpochEngine::update`]
 /// (prepare on a clone, publish atomically); `INVALIDATE`/`BUDGET` are
 /// in-place because their effects are recomputable cache state the
 /// engine already defines as safe under concurrent readers.
-fn execute(
-    request: Request,
-    parse_nanos: u64,
-    shared: &Shared,
-    out: &mut Vec<u8>,
-) -> Result<(), ProtocolError> {
+fn execute(request: Request, shared: &Shared, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
     match request {
         Request::Load { doc, pdoc } => {
             let nodes = pdoc.len();
@@ -890,20 +879,17 @@ fn execute(
             let engine = shared.engine.read();
             let id = find_doc(&engine, &doc)?;
             if options.get_trace() {
-                // `trace=true` installs its own context + flight for
-                // exactly this query, independent of the process-wide
-                // recorder, and returns the rendered tree after the
-                // answer block. The answer bytes are identical to an
-                // untraced run — spans read clocks, never data.
-                let ctx = pxv_obs::TraceContext::with_flight();
-                let flight = ctx.flight().expect("with_flight carries one").clone();
-                let answer = {
-                    let _guard = ctx.install();
+                // `trace=true` records exactly this query under its own
+                // flight, independent of the process-wide recorder, and
+                // returns the rendered tree after the answer block. The
+                // answer bytes are identical to an untraced run — spans
+                // read clocks, never data.
+                let (answer, records) = in_flight(|| {
                     let _root = pxv_obs::Span::enter("request");
-                    engine.answer_with(id, &query, &options).map_err(engine_err)
-                }?;
-                write_answer(out, &answer).map_err(io_to_protocol)?;
-                let tree = pxv_obs::export::render_text_tree(&flight.records());
+                    engine.answer_with(id, &query, &options)
+                });
+                write_answer(out, &answer.map_err(engine_err)?).map_err(io_to_protocol)?;
+                let tree = pxv_obs::export::render_text_tree(&records);
                 writeln!(out, "TRACE {}", tree.lines().count()).map_err(io_to_protocol)?;
                 out.extend_from_slice(tree.as_bytes());
                 Ok(())
@@ -1089,35 +1075,52 @@ fn execute(
                 Ok(())
             }
         },
-        Request::Profile {
+        // Handled by the caller.
+        Request::Ping
+        | Request::Quit
+        | Request::Shutdown
+        | Request::Batch { .. }
+        | Request::Profile { .. } => unreachable!(),
+    }
+}
+
+/// Answers one `PROFILE` line under its own flight recorder: the parse,
+/// the engine's answer and a scratch serialization each record their
+/// stage spans, and the breakdown written back is folded from them.
+fn profile(line: &str, shared: &Shared, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+    let (ran, records) = in_flight(|| {
+        let request = {
+            let _span = pxv_obs::Span::enter(PARSE_SPAN);
+            parse_request(line)?
+        };
+        let Request::Profile {
             doc,
             query,
             options,
-        } => {
-            let t_rest = Instant::now();
-            let engine = shared.engine.read();
-            let id = find_doc(&engine, &doc)?;
-            let answer = engine
-                .answer_with(id, &query, &options)
-                .map_err(engine_err)?;
-            let mut profile = answer.profile.clone().unwrap_or_default();
-            profile.parse_nanos = parse_nanos;
-            // Serialization cost is real but the PROFILE response does
-            // not carry the answer block — render it to a scratch buffer
-            // to measure what a QUERY response would have cost.
-            let t_ser = Instant::now();
-            let mut scratch = Vec::with_capacity(256);
-            write_answer(&mut scratch, &answer).map_err(io_to_protocol)?;
-            profile.serialize_nanos = t_ser.elapsed().as_nanos() as u64;
-            // Server-side total: parse plus everything after it.
-            profile.total_nanos = parse_nanos + t_rest.elapsed().as_nanos() as u64;
-            write_profile(out, &answer, &profile).map_err(io_to_protocol)
+        } = request
+        else {
+            unreachable!("the caller matched the PROFILE verb")
+        };
+        let engine = shared.engine.read();
+        let id = find_doc(&engine, &doc)?;
+        let answer = engine
+            .answer_with(id, &query, &options)
+            .map_err(engine_err)?;
+        // The response carries no answer block; rendering one to a
+        // scratch buffer measures what a QUERY response would cost.
+        {
+            let _span = pxv_obs::Span::enter(SERIALIZE_SPAN);
+            write_answer(&mut Vec::with_capacity(256), &answer).map_err(io_to_protocol)?;
         }
-        // Handled by the caller.
-        Request::Ping | Request::Quit | Request::Shutdown | Request::Batch { .. } => {
-            unreachable!()
-        }
-    }
+        Ok((answer, engine.cache_bytes(), engine.catalog_epoch()))
+    });
+    let (answer, cache_bytes, epoch) = ran?;
+    let profile = QueryProfile {
+        cache_bytes,
+        epoch,
+        ..QueryProfile::from_spans(&records)
+    };
+    write_profile(out, &answer, &profile).map_err(io_to_protocol)
 }
 
 /// Reads every `STATS`/`METRICS` value once, from the current epoch.
